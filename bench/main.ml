@@ -141,45 +141,23 @@ type kernel_row = {
 }
 
 (* Incremental resynthesis (DESIGN.md §13): the cost of a second pass on a
-   large synthetic circuit, full re-enumeration vs dirty-region tracking,
-   plus the bit-identity checks CI gates on. *)
+   large synthetic circuit under the full re-enumeration oracle and under
+   the dirty-root worklist, plus the bit-identity checks CI gates on.
+   Times are (median, min, max) wall seconds over repeated runs. *)
 type incr_row = {
   in_circuit : string;
   in_domains : int;
   in_pass2_cuts_full : int;
   in_pass2_cuts_incr : int;
   in_reenum_fraction : float;
-  in_pass2_full_s : float;
-  in_pass2_incr_s : float;
-  in_speedup : float;
-  in_identical : bool; (* full = incremental = concurrent-commit *)
-  in_gate_ok : bool; (* identical && speedup >= 1 && fraction < 1 *)
-}
-
-(* Worklist walk + conflict-graph commit scheduler (DESIGN.md §17): pass-2
-   cost of the three engine generations on the same circuit — full
-   re-enumeration, scan-walk incremental (flush scheduler), and the
-   worklist walk with graph-scheduled commits — plus the pop and wave
-   counters the CI gate reads. [wl_waves_gt_flushes] is the structural
-   claim: at least one splice survived a touch that the flush rule would
-   have landed it on and was then verified in a multi-splice wave. *)
-type wl_row = {
-  wl_circuit : string;
-  wl_domains : int;
-  wl_pass2_full_s : float;
-  wl_pass2_scan_s : float;
-  wl_pass2_wl_s : float;
-  wl_speedup_vs_full : float;
-  wl_speedup_vs_scan : float;
-  wl_popped : int;
-  wl_total_roots : int; (* scan-walk visit bound: passes x circuit size *)
-  wl_pop_fraction : float;
-  wl_commit_waves : int;
-  wl_wave_coalesced : int;
-  wl_conflict_edges : int;
-  wl_identical : bool; (* full = scan-incremental = worklist+graph *)
-  wl_waves_gt_flushes : bool; (* wave_coalesced > 0 *)
-  wl_gate_ok : bool;
+  in_pass2_pops_full : int;
+  in_pass2_pops_incr : int;
+  in_pop_fraction : float;
+  in_pass2_full_s : float * float * float;
+  in_pass2_incr_s : float * float * float;
+  in_speedup : float; (* median full / median incremental *)
+  in_identical : bool; (* full = incremental, at domains 1 and --domains *)
+  in_gate_ok : bool; (* identical && pop_fraction < 1 && speedup >= 1 *)
 }
 
 (* Persistent identification cache (DESIGN.md §15): lookup traffic of the
@@ -242,7 +220,6 @@ let json_circuits : (string * int * int * int * int) list ref = ref []
 let json_speedups : speedup_row list ref = ref []
 let json_kernels : kernel_row list ref = ref []
 let json_incremental : incr_row list ref = ref []
-let json_worklist : wl_row list ref = ref []
 let json_idcache : idc_row list ref = ref []
 let json_sat_atpg : sat_atpg_row list ref = ref []
 let json_journal : journal_row list ref = ref []
@@ -1243,16 +1220,18 @@ let kernels () =
          with Invalid_argument _ -> false);
     };
   (* Identification over the same cone functions: every call computed from
-     scratch vs the run-scoped cache (first encounter computes, repeats
-     hit — the steady state of a multi-pass optimisation run). *)
+     scratch vs the engine's run-scoped {!Idcache} (first encounter
+     computes, repeats hit — the steady state of a multi-pass optimisation
+     run). *)
   let verdicts_plain = Array.map Comparison_fn.identify_exact word_tts in
-  let cache = Comparison_fn.Cache.create () in
+  let cache = Idcache.create () in
   let cached_identify tt =
-    match Comparison_fn.Cache.find cache tt with
-    | Some v -> v
-    | None ->
+    match Idcache.find cache tt with
+    | Idcache.Hit v -> v
+    | Idcache.Neg_hit -> None
+    | Idcache.Miss m ->
       let v = Comparison_fn.identify_exact tt in
-      Comparison_fn.Cache.add cache tt v;
+      Idcache.record cache m v;
       v
   in
   let verdicts_cached = Array.map cached_identify word_tts in
@@ -1278,15 +1257,42 @@ let kernels () =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental resynthesis: second-pass cost on a large synthetic       *)
-(* circuit, full re-enumeration vs dirty-region tracking, and the       *)
-(* bit-identity of serial vs concurrent splice commits (DESIGN.md §13). *)
+(* circuit, full re-enumeration oracle vs the dirty-root worklist, and  *)
+(* the bit-identity of the two at 1 and --domains (DESIGN.md §13).      *)
 (* ------------------------------------------------------------------ *)
 
+(* Wall seconds of every [engine.pass] span in the trace ring, oldest
+   first. Passes run on the orchestrating domain and never nest, so its
+   events alternate B/E. *)
+let pass_spans () =
+  let ts ev =
+    match Obs_json.member "ts" ev with
+    | Some (Obs_json.Int us) -> float_of_int us
+    | Some (Obs_json.Float us) -> us
+    | _ -> 0.
+  in
+  match Obs.Trace.to_json_value () with
+  | Obs_json.List evs ->
+    let step (open_, acc) ev =
+      if Obs_json.member "name" ev <> Some (Obs_json.String "engine.pass") then
+        (open_, acc)
+      else
+        match (Obs_json.member "ph" ev, open_) with
+        | Some (Obs_json.String "B"), _ -> (Some (ts ev), acc)
+        | Some (Obs_json.String "E"), Some t0 ->
+          (None, (max 0. (ts ev -. t0) /. 1e6) :: acc)
+        | _ -> (open_, acc)
+    in
+    List.rev (snd (List.fold_left step (None, []) evs))
+  | _ -> []
+
+let incr_reps = 5
+
 let incremental () =
-  (* Cut enumeration counts come from the engine.candidates counter, so
-     collection must be on even when no --json/--metrics sink asked for it
-     (this section registers last: earlier sections keep their baseline
-     probe cost when run together without a sink). *)
+  (* Cut and pop counts come from the engine counters, so collection must
+     be on even when no --json/--metrics sink asked for it (this section
+     registers last: earlier sections keep their baseline probe cost when
+     run together without a sink). *)
   Obs.enable ();
   let base =
     Circuit_gen.generate
@@ -1306,228 +1312,103 @@ let incremental () =
   in
   record_circuit "incr-large" base;
   let candidates_c = Obs.Counter.make "engine.candidates" in
-  let opts ~incremental ~passes ~domains ~commit_batch =
+  let popped_c = Obs.Counter.make "engine.worklist_popped" in
+  let opts ~incremental ~passes ~domains =
     {
       (proc2_options 4) with
       Engine.max_candidates = 24;
       max_passes = passes;
       incremental;
-      commit_batch;
       domains;
-      (* Pin the PR-6 configuration: this section measures dirty-region
-         tracking alone. The worklist walk and the graph scheduler get
-         their own section below. *)
-      worklist = false;
-      scheduler = Engine.Flush;
     }
   in
-  (* The timed configurations below are all serial (domains = 1), so they
-     are measured in process CPU time, not wall clock: the pass-2 cost is
-     a difference of two short runs and scheduler noise on a loaded box
-     would otherwise dominate it (the §8 wall-clock rationale only applies
-     to the parallel kernels). *)
+  (* One run: its stats, netlist and counter deltas (all exactly
+     reproducible), and the wall time of its second pass, read from the
+     [engine.pass] span in the trace ring. The section owns the ring and
+     empties it around each run unless --trace-out asked for a trace, in
+     which case the run's spans are the ones it appended. *)
   let run o =
+    let own = not (Obs.Trace.enabled ()) in
+    if own then Obs.Trace.enable ();
+    let before = List.length (pass_spans ()) in
     let c = Circuit.copy base in
     let c0 = Obs.Counter.value candidates_c in
-    let t0 = Sys.time () in
+    let p0 = Obs.Counter.value popped_c in
     let stats = Engine.optimize Engine.Gates o c in
-    let t = max 0. (Sys.time () -. t0) in
-    (stats, Bench_format.to_string c, Obs.Counter.value candidates_c - c0, t)
+    let spans = List.filteri (fun i _ -> i >= before) (pass_spans ()) in
+    if own then begin
+      Obs.Trace.disable ();
+      Obs.Trace.reset ()
+    end;
+    ( stats,
+      Bench_format.to_string c,
+      Obs.Counter.value candidates_c - c0,
+      Obs.Counter.value popped_c - p0,
+      match spans with _ :: p2 :: _ -> p2 | _ -> 0. )
   in
-  (* Even CPU time jitters (allocation, GC): keep the exactly reproducible
-     stats and counter deltas from one run, take the minimum time over a
-     few repetitions. *)
-  let run_best o =
-    let s, n, cuts, w0 = run o in
-    let w = ref w0 in
-    for _ = 2 to 3 do
-      let _, _, _, wi = run o in
-      if wi < !w then w := wi
+  (* Median, min and max of the pass-2 time over [incr_reps] runs; the
+     counts and the netlist come from the first. *)
+  let run_reps o =
+    let s, n, cuts, pops, t = run o in
+    let ts = Array.make incr_reps t in
+    for i = 1 to incr_reps - 1 do
+      let _, _, _, _, ti = run o in
+      ts.(i) <- ti
     done;
-    (s, n, cuts, !w)
+    Array.sort compare ts;
+    (s, n, cuts, pops, (ts.(incr_reps / 2), ts.(0), ts.(incr_reps - 1)))
   in
-  (* Pass-2 cost = (two-pass run) - (one-pass run): cut counts are exact
-     (deterministic enumeration), wall clock is the measured difference. *)
-  let s1f, _, cuts1f, t1f = run_best (opts ~incremental:false ~passes:1 ~domains:1 ~commit_batch:1) in
-  let sf, nf, cuts2f, t2f = run_best (opts ~incremental:false ~passes:2 ~domains:1 ~commit_batch:1) in
-  let _, _, cuts1i, t1i = run_best (opts ~incremental:true ~passes:1 ~domains:1 ~commit_batch:1) in
-  let si, ni, cuts2i, t2i = run_best (opts ~incremental:true ~passes:2 ~domains:1 ~commit_batch:1) in
-  (* Concurrent commits: deferred batches on the --domains pool must land
-     the exact same netlist as immediate serial splices. *)
-  let sc, nc, _, _ = run (opts ~incremental:true ~passes:2 ~domains:!domains ~commit_batch:8) in
-  let pass2_cuts_full = max 0 (cuts2f - cuts1f) in
-  let pass2_cuts_incr = max 0 (cuts2i - cuts1i) in
-  let fraction =
-    if pass2_cuts_full = 0 then 1.
-    else float_of_int pass2_cuts_incr /. float_of_int pass2_cuts_full
+  (* Pass-2 counts = (two-pass run) - (one-pass run). *)
+  let s1f, _, cuts1f, pops1f, _ = run (opts ~incremental:false ~passes:1 ~domains:1) in
+  let _, _, cuts1i, pops1i, _ = run (opts ~incremental:true ~passes:1 ~domains:1) in
+  let sf, nf, cuts2f, pops2f, ((full_med, _, _) as full_s) =
+    run_reps (opts ~incremental:false ~passes:2 ~domains:1)
   in
-  let pass2_full_s = max 0. (t2f -. t1f) in
-  let pass2_incr_s = max 0. (t2i -. t1i) in
-  (* An unmeasurably cheap incremental pass counts as fast, not as a
-     division-by-zero failure of the gate. *)
-  let speedup =
-    if pass2_incr_s <= 0. then if pass2_full_s <= 0. then 1. else 99.99
-    else pass2_full_s /. pass2_incr_s
+  let si, ni, cuts2i, pops2i, ((incr_med, _, _) as incr_s) =
+    run_reps (opts ~incremental:true ~passes:2 ~domains:1)
   in
-  let identical = sf = si && sf = sc && nf = ni && nf = nc in
+  let sfp, nfp, _, _, _ = run (opts ~incremental:false ~passes:2 ~domains:!domains) in
+  let sip, nip, _, _, _ = run (opts ~incremental:true ~passes:2 ~domains:!domains) in
+  let ratio num den = if den <= 0 then 1. else float_of_int num /. float_of_int den in
+  let pass2_cuts_full = cuts2f - cuts1f and pass2_cuts_incr = cuts2i - cuts1i in
+  let pass2_pops_full = pops2f - pops1f and pass2_pops_incr = pops2i - pops1i in
+  let pop_fraction = ratio pass2_pops_incr pass2_pops_full in
+  let speedup = if incr_med <= 0. then 0. else full_med /. incr_med in
+  let identical =
+    List.for_all (fun s -> s = sf) [ si; sfp; sip ]
+    && List.for_all (fun n -> n = nf) [ ni; nfp; nip ]
+  in
   let row =
     {
       in_circuit = "incr-large";
       in_domains = !domains;
       in_pass2_cuts_full = pass2_cuts_full;
       in_pass2_cuts_incr = pass2_cuts_incr;
-      in_reenum_fraction = fraction;
-      in_pass2_full_s = pass2_full_s;
-      in_pass2_incr_s = pass2_incr_s;
+      in_reenum_fraction = ratio pass2_cuts_incr pass2_cuts_full;
+      in_pass2_pops_full = pass2_pops_full;
+      in_pass2_pops_incr = pass2_pops_incr;
+      in_pop_fraction = pop_fraction;
+      in_pass2_full_s = full_s;
+      in_pass2_incr_s = incr_s;
       in_speedup = speedup;
       in_identical = identical;
-      in_gate_ok = identical && speedup >= 1. && fraction < 1.;
+      in_gate_ok = identical && pop_fraction < 1. && speedup >= 1.;
     }
   in
   json_incremental := row :: !json_incremental;
+  let pp_s (med, lo, hi) = Printf.sprintf "%.4fs [%.4f, %.4f]" med lo hi in
   Printf.printf "incremental resynthesis on %s (%d two-input gates, %d replacements in pass 1)\n"
     row.in_circuit
     (Circuit.two_input_gate_count base)
     s1f.Engine.replacements;
   Printf.printf "  pass-2 cuts   full %8d   incremental %8d   (%.1f%% re-enumerated)\n"
-    pass2_cuts_full pass2_cuts_incr (100. *. fraction);
-  Printf.printf "  pass-2 cpu    full %7.3fs   incremental %7.3fs   (speedup %.2fx)\n"
-    pass2_full_s pass2_incr_s speedup;
-  Printf.printf "  identical results: %b (full vs incremental vs concurrent domains=%d)\n%!"
-    identical !domains
-
-(* ------------------------------------------------------------------ *)
-(* "Worklist + conflict-graph commits" section (DESIGN.md §17).        *)
-(* ------------------------------------------------------------------ *)
-
-let worklist () =
-  (* Pop/wave evidence comes from the engine.worklist_* counters, so
-     collection must be on (same rationale as the incremental section). *)
-  Obs.enable ();
-  let base =
-    Circuit_gen.generate
-      {
-        (* Same profile as the incremental section: local fanout cones, so
-           pass-1 splices dirty a small region and the dirty-root worklist
-           pops a small fraction of the roots the scan walk visits. *)
-        Circuit_gen.name = "incr-large";
-        n_pi = 400;
-        n_po = 360;
-        n_gates = (if !quick then 5200 else 10400);
-        depth = 4;
-        combine_pct = 1;
-        xor_pct = 4;
-        seed = 4242L;
-      }
-  in
-  record_circuit "incr-large" base;
-  let popped_c = Obs.Counter.make "engine.worklist_popped" in
-  let waves_c = Obs.Counter.make "engine.commit_waves" in
-  let coalesced_c = Obs.Counter.make "engine.wave_coalesced" in
-  let edges_c = Obs.Counter.make "engine.conflict_edges" in
-  let opts ~incremental ~worklist ~scheduler ~passes ~domains =
-    {
-      (proc2_options 4) with
-      Engine.max_candidates = 24;
-      max_passes = passes;
-      incremental;
-      worklist;
-      scheduler;
-      commit_batch = 8;
-      domains;
-    }
-  in
-  (* CPU time, minimum of three runs, like the incremental section; the
-     counter deltas and result strings are exactly reproducible, so they
-     come from the first run. *)
-  let run o =
-    let c = Circuit.copy base in
-    let p0 = Obs.Counter.value popped_c in
-    let w0 = Obs.Counter.value waves_c in
-    let k0 = Obs.Counter.value coalesced_c in
-    let e0 = Obs.Counter.value edges_c in
-    let t0 = Sys.time () in
-    let stats = Engine.optimize Engine.Gates o c in
-    let t = max 0. (Sys.time () -. t0) in
-    ( stats,
-      Bench_format.to_string c,
-      t,
-      Circuit.size c,
-      ( Obs.Counter.value popped_c - p0,
-        Obs.Counter.value waves_c - w0,
-        Obs.Counter.value coalesced_c - k0,
-        Obs.Counter.value edges_c - e0 ) )
-  in
-  let run_best o =
-    let s, n, w0, size, counters = run o in
-    let w = ref w0 in
-    for _ = 2 to 3 do
-      let _, _, wi, _, _ = run o in
-      if wi < !w then w := wi
-    done;
-    (s, n, !w, size, counters)
-  in
-  let full ~passes = opts ~incremental:false ~worklist:false ~scheduler:Engine.Flush ~passes ~domains:1 in
-  let scan ~passes = opts ~incremental:true ~worklist:false ~scheduler:Engine.Flush ~passes ~domains:1 in
-  let wl ~passes ~domains = opts ~incremental:true ~worklist:true ~scheduler:Engine.Graph ~passes ~domains in
-  let _, _, t1f, _, _ = run_best (full ~passes:1) in
-  let sf, nf, t2f, _, _ = run_best (full ~passes:2) in
-  let _, _, t1s, _, _ = run_best (scan ~passes:1) in
-  let ss, ns, t2s, _, _ = run_best (scan ~passes:2) in
-  let _, _, t1w, _, _ = run_best (wl ~passes:1 ~domains:1) in
-  let sw, nw, t2w, size_w, (popped, waves, coalesced, edges) =
-    run_best (wl ~passes:2 ~domains:1)
-  in
-  (* Fourth leg: the same worklist+graph run with wave verification fanned
-     out across the pool must still land the identical netlist. *)
-  let sp, np, _, _, _ = run (wl ~passes:2 ~domains:!domains) in
-  let pass2_full_s = max 0. (t2f -. t1f) in
-  let pass2_scan_s = max 0. (t2s -. t1s) in
-  let pass2_wl_s = max 0. (t2w -. t1w) in
-  let speedup num den = if den <= 0. then if num <= 0. then 1. else 99.99 else num /. den in
-  (* The scan walk visits every root of every pass; the worklist pops only
-     the dirty ones. *)
-  let total_roots = sw.Engine.passes * size_w in
-  let pop_fraction =
-    if total_roots = 0 then 1. else float_of_int popped /. float_of_int total_roots
-  in
-  let identical =
-    sf = ss && sf = sw && sf = sp && nf = ns && nf = nw && nf = np
-  in
-  let waves_gt_flushes = coalesced > 0 in
-  let row =
-    {
-      wl_circuit = "incr-large";
-      wl_domains = !domains;
-      wl_pass2_full_s = pass2_full_s;
-      wl_pass2_scan_s = pass2_scan_s;
-      wl_pass2_wl_s = pass2_wl_s;
-      wl_speedup_vs_full = speedup pass2_full_s pass2_wl_s;
-      wl_speedup_vs_scan = speedup pass2_scan_s pass2_wl_s;
-      wl_popped = popped;
-      wl_total_roots = total_roots;
-      wl_pop_fraction = pop_fraction;
-      wl_commit_waves = waves;
-      wl_wave_coalesced = coalesced;
-      wl_conflict_edges = edges;
-      wl_identical = identical;
-      wl_waves_gt_flushes = waves_gt_flushes;
-      wl_gate_ok =
-        identical && pop_fraction < 1. && edges = 0 && waves_gt_flushes;
-    }
-  in
-  json_worklist := row :: !json_worklist;
-  Printf.printf "worklist walk + graph commits on %s (%d two-input gates)\n"
-    row.wl_circuit
-    (Circuit.two_input_gate_count base);
+    pass2_cuts_full pass2_cuts_incr (100. *. row.in_reenum_fraction);
+  Printf.printf "  pass-2 pops   full %8d   incremental %8d   (%.1f%% popped)\n"
+    pass2_pops_full pass2_pops_incr (100. *. pop_fraction);
   Printf.printf
-    "  pass-2 cpu    full %7.3fs   scan-incr %7.3fs   worklist %7.3fs\n"
-    pass2_full_s pass2_scan_s pass2_wl_s;
-  Printf.printf
-    "  worklist pops %d of %d scan visits (%.2f%%); %d waves, %d coalesced, %d conflict edges\n"
-    popped total_roots (100. *. pop_fraction) waves coalesced edges;
-  Printf.printf
-    "  identical results: %b (full vs scan-incremental vs worklist+graph vs domains=%d)\n%!"
+    "  pass-2 wall   full %s   incremental %s   (median of %d, speedup %.2fx)\n"
+    (pp_s full_s) (pp_s incr_s) incr_reps speedup;
+  Printf.printf "  identical results: %b (full vs incremental, domains 1 and %d)\n%!"
     identical !domains
 
 (* ------------------------------------------------------------------ *)
@@ -1811,38 +1692,25 @@ let write_json file =
     (List.rev !json_kernels);
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b "  \"incremental\": [\n";
+  let spread (med, lo, hi) =
+    Printf.sprintf "{\"median\": %.6f, \"min\": %.6f, \"max\": %.6f}" med lo hi
+  in
   List.iteri
     (fun i r ->
       item (i = 0)
         (Printf.sprintf
            "    {\"circuit\": \"%s\", \"domains\": %d, \"pass2_cuts_full\": %d, \
             \"pass2_cuts_incremental\": %d, \"reenum_fraction\": %.4f, \
-            \"pass2_full_seconds\": %.6f, \"pass2_incremental_seconds\": %.6f, \
+            \"pass2_pops_full\": %d, \"pass2_pops_incremental\": %d, \
+            \"pop_fraction\": %.4f, \"repetitions\": %d, \
+            \"pass2_full_seconds\": %s, \"pass2_incremental_seconds\": %s, \
             \"speedup\": %.4f, \"identical_results\": %b, \"gate_ok\": %b}"
            (json_escape r.in_circuit) r.in_domains r.in_pass2_cuts_full
-           r.in_pass2_cuts_incr r.in_reenum_fraction r.in_pass2_full_s
-           r.in_pass2_incr_s r.in_speedup r.in_identical r.in_gate_ok))
+           r.in_pass2_cuts_incr r.in_reenum_fraction r.in_pass2_pops_full
+           r.in_pass2_pops_incr r.in_pop_fraction incr_reps
+           (spread r.in_pass2_full_s) (spread r.in_pass2_incr_s) r.in_speedup
+           r.in_identical r.in_gate_ok))
     (List.rev !json_incremental);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"worklist\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"domains\": %d, \
-            \"pass2_full_seconds\": %.6f, \"pass2_scan_seconds\": %.6f, \
-            \"pass2_worklist_seconds\": %.6f, \"speedup_vs_full\": %.4f, \
-            \"speedup_vs_scan\": %.4f, \"worklist_popped\": %d, \
-            \"total_roots\": %d, \"pop_fraction\": %.4f, \
-            \"commit_waves\": %d, \"wave_coalesced\": %d, \
-            \"conflict_edges\": %d, \"identical_results\": %b, \
-            \"waves_gt_flushes\": %b, \"gate_ok\": %b}"
-           (json_escape r.wl_circuit) r.wl_domains r.wl_pass2_full_s
-           r.wl_pass2_scan_s r.wl_pass2_wl_s r.wl_speedup_vs_full
-           r.wl_speedup_vs_scan r.wl_popped r.wl_total_roots r.wl_pop_fraction
-           r.wl_commit_waves r.wl_wave_coalesced r.wl_conflict_edges
-           r.wl_identical r.wl_waves_gt_flushes r.wl_gate_ok))
-    (List.rev !json_worklist);
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b "  \"idcache\": [\n";
   List.iteri
@@ -1931,7 +1799,6 @@ let () =
   section "micro" "Bechamel micro-benchmarks" micro;
   section "kernels" "word-parallel kernels vs scalar baselines" kernels;
   section "incremental" "incremental resynthesis vs full re-enumeration" incremental;
-  section "worklist" "worklist walk + conflict-graph commit scheduling" worklist;
   section "idcache" "persistent identification cache: cold vs warm vs off" idcache;
   section "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg;
   section "journal" "decision journal: overhead and bit-identity" journal;

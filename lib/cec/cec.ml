@@ -316,10 +316,3 @@ let check_stats ?(budget = default_budget) ?pool a b =
       (verdict, stats))
 
 let check ?budget ?pool a b = fst (check_stats ?budget ?pool a b)
-
-(* Deprecated re-exports: the solver and encoder moved to the standalone
-   sft.sat library. Kept one release, mirroring the PR-2/PR-3 convention. *)
-module Sat_alias = Sat
-module Tseitin_alias = Cnf
-module Sat = Sat_alias
-module Tseitin = Tseitin_alias

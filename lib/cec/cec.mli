@@ -65,14 +65,3 @@ val check_stats :
 (** Like {!check} but also returns aggregated solver statistics, summed
     across all per-output miters (conflict/decision counts are what the
     bench harness records per circuit). *)
-
-(** {2 Deprecated aliases}
-
-    The CDCL solver and the Tseitin encoder moved to the standalone
-    [sft.sat] library; these aliases are kept for one release. *)
-
-module Sat = Sat
-[@@deprecated "use Sat from sft.sat directly"]
-
-module Tseitin = Cnf
-[@@deprecated "use Cnf from sft.sat directly"]

@@ -41,41 +41,6 @@ let clear s =
   if s.card > 0 then Bytes.fill s.bits 0 (Bytes.length s.bits) '\000';
   s.card <- 0
 
-(* Eight ids per comparison: the one-byte-per-id layout means a 64-bit load
-   tests eight memberships at once, and the commit scheduler calls this on
-   every (queued splice, touched root) probe. *)
-let intersects a b =
-  a.card > 0 && b.card > 0
-  &&
-  let n = min (Bytes.length a.bits) (Bytes.length b.bits) in
-  let words = n / 8 in
-  let hit = ref false in
-  let i = ref 0 in
-  while (not !hit) && !i < words do
-    let w = Int64.logand (Bytes.get_int64_ne a.bits (!i * 8)) (Bytes.get_int64_ne b.bits (!i * 8)) in
-    if w <> 0L then hit := true else incr i
-  done;
-  let j = ref (words * 8) in
-  while (not !hit) && !j < n do
-    if Bytes.unsafe_get a.bits !j = '\001' && Bytes.unsafe_get b.bits !j = '\001' then
-      hit := true
-    else incr j
-  done;
-  !hit
-
-let union_into dst src =
-  if src.card > 0 then begin
-    let n = Bytes.length src.bits in
-    grow dst (n - 1);
-    for i = 0 to n - 1 do
-      if Bytes.unsafe_get src.bits i = '\001' && Bytes.unsafe_get dst.bits i = '\000'
-      then begin
-        Bytes.unsafe_set dst.bits i '\001';
-        dst.card <- dst.card + 1
-      end
-    done
-  end
-
 (* The visited table is private to the call: the destination set cannot
    double as one, because a node already dirty from an earlier splice must
    not cut off traversal into its (possibly still clean) fanout cone. *)
@@ -129,23 +94,22 @@ let iter f s =
     done
   end
 
-(* Ordered worklist view (DESIGN.md §17). The heap keys on the node's
+(* Ordered worklist view (DESIGN.md §13). The heap keys on the node's
    position in the *current pass's* topological order, not on its id:
    although ids are allocated in topological order at construction time,
    splices retarget the replaced root's readers (small ids) onto fresh
    nodes (large ids), so after the first splice id order and topological
-   order disagree and popping by id could evaluate a root downstream of a
-   same-pass splice — an order the scan walk can never produce. The engine
-   hands {!Worklist.start_pass} the id->position table of the pass's
-   topological sort; the queue is rebuilt from the dirty set under that
-   keying, and ids without a position (freshly spliced mid-pass) or at or
-   below the pass cursor (downstream of the walk position) simply stay
-   dirty until the next rebuild, mirroring a walk that never backs up. *)
+   order disagree and popping by id could visit roots out of topological
+   order. The engine hands {!Worklist.start_pass} the id->position table
+   of the pass's topological sort; the queue is rebuilt from the dirty set
+   under that keying, and ids without a position (freshly spliced
+   mid-pass) or at or below the pass cursor (downstream of the walk
+   position) simply stay dirty until the next rebuild, mirroring a walk
+   that never backs up. *)
 module Worklist = struct
   type t = {
     fp : set;  (* dirty membership, shared with the engine's queries *)
     queued : set;  (* ids in [heap] this pass *)
-    track : bool;  (* false: pure set wrapper, no ordering maintained *)
     mutable pos : int array;  (* id -> topo position this pass; -1 = none *)
     mutable heap : int array;  (* ids, max-heap ordered by [pos] *)
     mutable hlen : int;
@@ -200,11 +164,10 @@ module Worklist = struct
     end;
     top
 
-  let create ?(all = false) ?(track = true) n =
+  let create ?(all = false) n =
     {
       fp = create ~all n;
       queued = create 1;
-      track;
       pos = [||];
       heap = [||];
       hlen = 0;
@@ -213,13 +176,11 @@ module Worklist = struct
 
   (* Queue [id] for this pass iff the walk has not yet reached its
      topological position. Ids with no position exist only since a
-     mid-pass splice: the scan walk (whose order was fixed at pass start)
-     would not visit them either — they stay dirty and enter the queue at
-     the next rebuild. *)
+     mid-pass splice, which the pass's order (fixed at its start) does not
+     cover — they stay dirty and enter the queue at the next rebuild. *)
   let enqueue t id =
     if
-      t.track
-      && id < Array.length t.pos
+      id < Array.length t.pos
       && t.pos.(id) >= 0
       && t.pos.(id) < t.cursor
       && not (mem t.queued id)
@@ -236,13 +197,11 @@ module Worklist = struct
     mark_fanout_cone ~on_add:(enqueue t) c t.fp seeds
 
   let start_pass t ~pos =
-    if t.track then begin
-      t.pos <- pos;
-      t.cursor <- max_int;
-      clear t.queued;
-      t.hlen <- 0;
-      iter (fun id -> enqueue t id) t.fp
-    end
+    t.pos <- pos;
+    t.cursor <- max_int;
+    clear t.queued;
+    t.hlen <- 0;
+    iter (fun id -> enqueue t id) t.fp
 
   let pop t =
     if t.hlen = 0 then None

@@ -1,18 +1,16 @@
-(** Dirty-region bookkeeping for incremental resynthesis (DESIGN.md §13,
-    §17).
+(** Dirty-region bookkeeping for incremental resynthesis (DESIGN.md §13).
 
     A {!set} is a growable bitset over node ids: the engine keeps one per
-    optimisation run recording which roots must be re-enumerated, and a
-    transient one per pass recording the fanout closure of splices that are
-    decided but not yet applied. Ids beyond the current capacity are simply
+    optimisation run recording which roots must be re-enumerated, and one
+    recording which nodes are reachable from a primary output. Ids beyond
+    the current capacity are simply
     absent; {!add} grows the set on demand, so the same set survives the
     circuit growing across splices.
 
     {!Worklist} is an ordered view over a set: it additionally keeps the
     dirty roots in a max-heap keyed on their position in the current pass's
-    topological order, so the engine can pop exactly the dirty roots in the
-    full walk's outputs-towards-inputs order instead of scanning the whole
-    circuit. *)
+    topological order, so the engine can pop exactly the dirty roots in
+    outputs-towards-inputs order instead of scanning the whole circuit. *)
 
 type set
 
@@ -36,18 +34,8 @@ val count : set -> int
 (** Number of ids currently in the set. *)
 
 val clear : set -> unit
-(** Empty the set, keeping the backing store for reuse — the per-flush
-    reset of the engine's pending-footprint scratch must not reallocate a
-    circuit-sized buffer every few splices. *)
-
-val intersects : set -> set -> bool
-(** [intersects a b] is [true] iff some id is a member of both. Word-level
-    (eight ids per comparison); the commit scheduler's conflict test
-    between queued splice footprints. *)
-
-val union_into : set -> set -> unit
-(** [union_into dst src] inserts every member of [src] into [dst], growing
-    [dst] as needed. [src] is unchanged. *)
+(** Empty the set, keeping the backing store for reuse (the worklist's
+    per-pass queue membership is reset this way). *)
 
 val mark_fanout_cone : ?on_add:(int -> unit) -> Circuit.t -> set -> int list -> int
 (** [mark_fanout_cone c s seeds] inserts every live seed and every live
@@ -63,15 +51,14 @@ val mark_fanout_cone : ?on_add:(int -> unit) -> Circuit.t -> set -> int list -> 
     {e before} mutating the netlist (footprints of a splice are computed
     on the pre-splice circuit, then the fresh nodes are marked after). *)
 
-(** Ordered worklist view over a dirty set (DESIGN.md §17).
+(** Ordered worklist view over a dirty set (DESIGN.md §13).
 
     The heap is keyed on each node's position in the {e current pass's}
     topological order, not on its id. Ids are allocated topologically at
     construction time, but a splice retargets the replaced root's readers
     (small ids) onto fresh nodes (large ids), so after the first splice the
-    two orders disagree — and popping by id could evaluate a root
-    downstream of a same-pass splice, an order the scan walk can never
-    produce. {!Worklist.start_pass} therefore takes the id->position table
+    two orders disagree — and popping by id could visit roots out of
+    topological order. {!Worklist.start_pass} therefore takes the id->position table
     of the pass's topological sort and rebuilds the queue from the dirty
     set under that keying; the rebuild is one scan of the bitset, cheap
     next to the O(size) sort the pass already performs.
@@ -80,21 +67,17 @@ val mark_fanout_cone : ?on_add:(int -> unit) -> Circuit.t -> set -> int list -> 
     Ids dirtied at or below the pass cursor's position (downstream of the
     walk), or with no position at all (spliced in mid-pass), are not
     queued: they stay dirty in the set and enter the queue at the next
-    rebuild, exactly as the full walk leaves them for its next pass. Each
+    rebuild. Each
     id is queued at most once per pass; an id popped but left dirty (dead
     or unreachable roots are skipped without processing) is not revisited
     until the next pass. *)
 module Worklist : sig
   type t
 
-  val create : ?all:bool -> ?track:bool -> int -> t
+  val create : ?all:bool -> int -> t
   (** [create n] wraps a fresh [create n] set; the queue starts empty and
       is first populated by {!start_pass}. [~all:true] seeds the set with
-      every id in [0 .. n-1]. [~track:false] degrades the worklist to a
-      plain set wrapper ({!push} and {!mark_fanout_cone} still update the
-      set, but nothing is ever queued and {!pop} always returns [None]) —
-      the engine's escape hatch for running the scan walk over the same
-      bookkeeping. *)
+      every id in [0 .. n-1]. *)
 
   val fp : t -> set
   (** The underlying dirty set (shared, not a copy): membership queries and

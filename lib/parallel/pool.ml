@@ -251,20 +251,3 @@ let map_chunks t ?chunk ?serial_below ~state ~f arr =
 
 let map t ?chunk ?serial_below f arr =
   map_chunks t ?chunk ?serial_below ~state:(fun _ -> ()) ~f:(fun () _ x -> f x) arr
-
-(* Wave submission: the commit scheduler lands a queue of splices in
-   consecutive independent-set waves, and each wave is a sub-range of the
-   same decision-order array. Mapping the slice in place avoids one copy
-   per wave. *)
-let map_sub t ?chunk ?serial_below ~lo ~len f arr =
-  if lo < 0 || len < 0 || lo + len > Array.length arr then
-    invalid_arg "Pool.map_sub: slice out of bounds";
-  if len = 0 then [||]
-  else begin
-    let out = Array.make len None in
-    for_chunks t ?chunk ?serial_below ~n:len (fun ~slot:_ ~lo:clo ~hi:chi ->
-        for i = clo to chi - 1 do
-          out.(i) <- Some (f arr.(lo + i))
-        done);
-    Array.map (function Some v -> v | None -> assert false) out
-  end

@@ -100,15 +100,3 @@ val map_chunks :
 
 val map : t -> ?chunk:int -> ?serial_below:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_chunks] without per-worker state. *)
-
-val map_sub :
-  t -> ?chunk:int -> ?serial_below:int -> lo:int -> len:int ->
-  ('a -> 'b) -> 'a array -> 'b array
-(** [map_sub t ~lo ~len f arr] is [map t f (Array.sub arr lo len)] without
-    the copy: an ordered parallel map over the slice
-    [arr.(lo) .. arr.(lo + len - 1)], returning a [len]-element array.
-    This is the wave-submission entry point of the conflict-graph commit
-    scheduler (DESIGN.md §17): each independent-set wave of queued splices
-    is a consecutive sub-range of the decision-order queue, and its local
-    verifications fan out here while mutations stay on the caller. Raises
-    [Invalid_argument] if the slice is out of bounds. *)

@@ -199,7 +199,7 @@ let load path =
                       bump r.tallies ("redundancy_proof/" ^ m) 1;
                       r
                     | kind ->
-                      (* podem_abort, commit_flush, cec_unknown, and any
+                      (* podem_abort, cec_unknown, and any
                          event kind a newer writer may add. *)
                       bump r.tallies kind 1;
                       r
@@ -313,7 +313,7 @@ let render t =
       (fun k ->
         let n = tally t k in
         if n = 0 then None else Some (Printf.sprintf "%s %s" k (Table.int n)))
-      [ "podem_abort"; "commit_flush"; "cec_unknown" ]
+      [ "podem_abort"; "cec_unknown" ]
   in
   if misc <> [] then
     Buffer.add_string b (String.concat ", " misc ^ "\n");
@@ -375,13 +375,12 @@ let run_json t =
         tallies_json t "cec_check" [ "equivalent"; "counterexample"; "unknown" ]
       );
       ("podem_aborts", Obs_json.Int (tally t "podem_abort"));
-      ("commit_flushes", Obs_json.Int (tally t "commit_flush"));
     ]
 
 let to_json_value runs =
   Obs_json.Obj
     [
-      ("report_version", Obs_json.Int 1);
+      ("report_version", Obs_json.Int 2);
       ("funnel_ok", Obs_json.Bool (List.for_all funnel_ok runs));
       ("runs", Obs_json.List (List.map run_json runs));
     ]

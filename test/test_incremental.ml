@@ -1,8 +1,7 @@
-(* Incremental, region-parallel resynthesis (DESIGN.md §13): dirty-region
-   tracking, deferred splice commits, the enumeration dedup table and the
-   pool work-size cutoff. The load-bearing property is bit-identity — every
-   incremental/batched/parallel configuration must reproduce the full
-   re-enumeration engine exactly. *)
+(* Incremental resynthesis (DESIGN.md §13): dirty-region tracking, the
+   dirty-root worklist, the enumeration dedup table and the pool work-size
+   cutoff. The load-bearing property is bit-identity — every incremental
+   configuration must reproduce the full re-enumeration oracle exactly. *)
 
 open Helpers
 
@@ -47,7 +46,7 @@ let test_footprint_cone () =
      whole fanout already dirty here) *)
   check int_ "input seed" 1 (Footprint.mark_fanout_cone c s [ order.(1) ])
 
-let test_footprint_setops () =
+let test_footprint_clear () =
   (* clear keeps the backing store but empties the membership *)
   let s = Footprint.create 4 in
   Footprint.add s 2;
@@ -56,27 +55,7 @@ let test_footprint_setops () =
   check int_ "cleared" 0 (Footprint.count s);
   check bool_ "cleared member" false (Footprint.mem s 2);
   Footprint.add s 9;
-  check int_ "reusable after clear" 1 (Footprint.count s);
-  (* intersects: word-level fast path and byte tail, across growth *)
-  let a = Footprint.create 4 and b = Footprint.create 200 in
-  check bool_ "empty vs empty" false (Footprint.intersects a b);
-  Footprint.add a 3;
-  Footprint.add b 100;
-  check bool_ "disjoint" false (Footprint.intersects a b);
-  Footprint.add a 100 (* grows [a] past [b]'s word boundary *);
-  check bool_ "overlap" true (Footprint.intersects a b);
-  check bool_ "symmetric" true (Footprint.intersects b a);
-  Footprint.remove a 100;
-  check bool_ "overlap removed" false (Footprint.intersects a b);
-  (* union_into grows the destination and leaves the source unchanged *)
-  let dst = Footprint.create 2 in
-  Footprint.add dst 1;
-  Footprint.union_into dst b;
-  check bool_ "union member" true (Footprint.mem dst 100);
-  check int_ "union count" 2 (Footprint.count dst);
-  check int_ "source unchanged" 1 (Footprint.count b);
-  Footprint.union_into dst b (* idempotent *);
-  check int_ "union idempotent" 2 (Footprint.count dst)
+  check int_ "reusable after clear" 1 (Footprint.count s)
 
 (* --- Worklist ordering ------------------------------------------------------- *)
 
@@ -100,12 +79,7 @@ let test_worklist_ordering () =
   (* ...of the *position*, not the id: a permuted table reorders pops *)
   let wl = Footprint.Worklist.create ~all:true 4 in
   Footprint.Worklist.start_pass wl ~pos:[| 3; 2; 1; 0 |];
-  check (Alcotest.list int_) "by position" [ 0; 1; 2; 3 ] (drain wl);
-  (* track:false degrades to a plain set wrapper *)
-  let wl = Footprint.Worklist.create ~all:true ~track:false 4 in
-  Footprint.Worklist.start_pass wl ~pos:[| 0; 1; 2; 3 |];
-  check bool_ "untracked pops nothing" true (Footprint.Worklist.pop wl = None);
-  check int_ "untracked set intact" 4 (Footprint.count (Footprint.Worklist.fp wl))
+  check (Alcotest.list int_) "by position" [ 0; 1; 2; 3 ] (drain wl)
 
 let test_worklist_cursor () =
   (* The sweep-cascade boundary case: a splice at the cursor re-dirties an
@@ -196,31 +170,32 @@ let base =
 
 let full = { base with Engine.incremental = false }
 
-(* [base] inherits the defaults: incremental, worklist walk, graph
-   scheduler, commit_batch 8. The variants cover both walks and both
-   schedulers — every row must reproduce the full re-enumeration walk
-   bit-exactly. *)
+let ext = { base with Engine.use_dontcares = true; max_units = 2 }
+
+(* Each variant and the full re-enumeration oracle it must reproduce
+   bit-exactly. Domain count and the identification cache change how the
+   work runs, so they share [full]; don't-cares and multi-unit covers
+   change the search, so they get their own oracle. *)
 let variants =
   [
-    ( "scan serial-commit",
-      { base with Engine.worklist = false; commit_batch = 1 } );
-    ( "scan flush-batched",
-      { base with Engine.worklist = false; scheduler = Engine.Flush; commit_batch = 4 } );
-    ("worklist flush-batched", { base with Engine.scheduler = Engine.Flush });
-    ("worklist graph serial-commit", { base with Engine.commit_batch = 1 });
-    ("worklist graph (defaults)", base);
-    ("worklist graph domains=3", { base with Engine.domains = 3 });
-    ("no-id-cache", { base with Engine.id_cache = false });
+    ("defaults", base, full);
+    ("domains=3", { base with Engine.domains = 3 }, full);
+    ("no-id-cache", { base with Engine.id_cache = false }, full);
+    ("don't-cares + max_units=2", ext, { ext with Engine.incremental = false });
   ]
 
-let identical_on objective c seed =
-  let want = fingerprint objective full c in
-  List.iter
-    (fun (label, options) ->
-      if fingerprint objective options c <> want then
-        Alcotest.failf "seed %d: incremental (%s) diverged from full path" seed
-          label)
+let identical objective c =
+  List.filter_map
+    (fun (label, options, oracle) ->
+      if fingerprint objective options c = fingerprint objective oracle c then None
+      else Some label)
     variants
+
+let identical_on objective c seed =
+  match identical objective c with
+  | [] -> ()
+  | label :: _ ->
+    Alcotest.failf "seed %d: incremental (%s) diverged from full path" seed label
 
 let test_incremental_identity_gates () =
   identical_on Engine.Gates (c17 ()) 0;
@@ -236,23 +211,16 @@ let test_incremental_identity_paths () =
 let test_incremental_identity_extensions () =
   (* don't-cares and multi-unit covers exercise the per-candidate rng and
      the care-set verification path *)
-  let ext = { base with Engine.use_dontcares = true; max_units = 2 } in
   let full = { ext with Engine.incremental = false } in
   for seed = 140 to 144 do
     let c = random_circuit ~n_pi:6 ~n_gates:32 ~n_po:4 seed in
-    let want = fingerprint Engine.Gates full c in
-    let got =
-      fingerprint Engine.Gates
-        { ext with Engine.incremental = true; commit_batch = 4 }
-        c
-    in
-    if got <> want then
+    if fingerprint Engine.Gates ext c <> fingerprint Engine.Gates full c then
       Alcotest.failf "seed %d: incremental extensions diverged" seed
   done
 
 let test_incremental_equivalence () =
   (* The optimised circuit must stay functionally equal to the original
-     under the default (incremental, batched) options. *)
+     under the default (incremental) options. *)
   for seed = 150 to 156 do
     let c = random_circuit ~n_pi:6 ~n_gates:36 ~n_po:4 seed in
     let reference = Circuit.copy c in
@@ -262,50 +230,58 @@ let test_incremental_equivalence () =
       Alcotest.failf "seed %d: incremental engine broke the function" seed
   done
 
-let test_incremental_skips_clean_roots () =
-  (* A multi-pass run must actually skip work. The scan walk visits every
-     root and skips the clean ones (the skip counter moves); the worklist
-     walk never visits them at all (the skip counter stays put and the pop
-     counter stays well below a full visit count). *)
-  let skipped = Obs.Counter.make "engine.reenum_skipped" in
-  let candidates = Obs.Counter.make "engine.candidates" in
+(* Run [options] on the seed-160 circuit; returns the stats, the final
+   circuit and the pop and cut counts the run added. *)
+let measure options =
   let popped = Obs.Counter.make "engine.worklist_popped" in
+  let candidates = Obs.Counter.make "engine.candidates" in
+  let c = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
+  let p0 = Obs.Counter.value popped and c0 = Obs.Counter.value candidates in
+  let stats = Procedure2.run ~options c in
+  (stats, c, Obs.Counter.value popped - p0, Obs.Counter.value candidates - c0)
+
+let with_metrics f =
   Obs.enable ();
-  Fun.protect ~finally:Obs.disable (fun () ->
-      let c = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
-      let s0 = Obs.Counter.value skipped in
-      let stats =
-        Procedure2.run ~options:{ base with Engine.worklist = false } c
-      in
-      let s1 = Obs.Counter.value skipped in
-      if stats.Engine.replacements > 0 && stats.Engine.passes > 1 then
-        check bool_ "clean roots were skipped" true (s1 - s0 > 0);
-      (* the worklist walk pops instead of skipping *)
-      let c2 = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
-      let s2 = Obs.Counter.value skipped in
-      let p0 = Obs.Counter.value popped in
-      let stats2 = Procedure2.run ~options:base c2 in
-      check int_ "worklist walk never skip-scans" s2 (Obs.Counter.value skipped);
-      let pops = Obs.Counter.value popped - p0 in
-      check bool_ "worklist popped dirty roots" true (pops > 0);
-      check bool_ "worklist pops below full visits" true
-        (pops < stats2.Engine.passes * Circuit.size c2);
-      (* and a --no-incremental run never skips, but re-enumerates more *)
-      let c3 = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
-      let s3 = Obs.Counter.value skipped in
-      let c0 = Obs.Counter.value candidates in
-      ignore (Procedure2.run ~options:{ base with Engine.incremental = false } c3);
-      check int_ "full path skips nothing" s3 (Obs.Counter.value skipped);
-      check bool_ "full path enumerates at least as much" true
-        (Obs.Counter.value candidates - c0 >= 0))
+  Fun.protect ~finally:Obs.disable f
+
+let test_incremental_skips_clean_roots () =
+  (* After the first pass the worklist pops only dirty roots: a multi-pass
+     incremental run pops fewer roots and enumerates no more cuts than the
+     full oracle, which re-queues every id on every pass, and lands the
+     same circuit. *)
+  with_metrics (fun () ->
+      let si, ci, pops_i, cuts_i = measure base in
+      let sf, cf, pops_f, cuts_f = measure full in
+      check bool_ "multi-pass run" true (si.Engine.passes > 1);
+      check bool_ "same result" true
+        (si = sf && Bench_format.to_string ci = Bench_format.to_string cf);
+      check bool_ "fewer pops than the oracle" true (pops_i < pops_f);
+      check bool_ "no more cuts than the oracle" true (cuts_i <= cuts_f))
+
+let test_oracle_pops_everything () =
+  (* However few roots pass 1 dirtied, the oracle's pass 2 pops every live
+     node of the circuit pass 1 left behind — every gate on a path to an
+     output among them, since each splice sweeps the rest. *)
+  with_metrics (fun () ->
+      let one o = { o with Engine.max_passes = 1 } in
+      let two o = { o with Engine.max_passes = 2 } in
+      let s1, after1, pops1, _ = measure (one full) in
+      let s2, _, pops2, _ = measure (two full) in
+      let _, _, ipops1, _ = measure (one base) in
+      let _, _, ipops2, _ = measure (two base) in
+      check bool_ "pass 1 replaced something" true (s1.Engine.replacements > 0);
+      check int_ "two passes ran" 2 s2.Engine.passes;
+      let live = Array.length (Circuit.topo_order after1) in
+      check int_ "oracle pass 2 pops every live node" live (pops2 - pops1);
+      check bool_ "incremental pass 2 pops fewer" true (ipops2 - ipops1 < live))
 
 (* Sweep-cascade regression: [Replace.splice] ends in a sweep that can kill
    nodes upstream of the cut (a cut input left without consumers dies, then
    its fanins lose a consumer, ...). Survivors on that boundary change
    fanout degree, which removability accounting reads, so roots downstream
    of them must be re-dirtied. These seeds all diverged (full found more
-   replacements than incremental) before the boundary marking in
-   [Engine.commit_one]. *)
+   replacements than incremental) before the sweep-boundary marking in
+   [Engine.run_pass]. *)
 let test_sweep_cascade_boundary () =
   List.iter
     (fun seed ->
@@ -321,14 +297,11 @@ let test_sweep_cascade_boundary () =
           seed = Int64.of_int seed;
         }
       in
-      let c = Circuit_gen.generate profile in
-      let want = fingerprint Engine.Gates full c in
-      List.iter
-        (fun (label, options) ->
-          if fingerprint Engine.Gates options c <> want then
-            Alcotest.failf "seed %d: incremental (%s) missed a swept-boundary region"
-              seed label)
-        variants)
+      match identical Engine.Gates (Circuit_gen.generate profile) with
+      | [] -> ()
+      | label :: _ ->
+        Alcotest.failf "seed %d: incremental (%s) missed a swept-boundary region"
+          seed label)
     [ 83418; 83420; 83490; 83566 ]
 
 (* --- qcheck: identity over generated circuits -------------------------------- *)
@@ -345,46 +318,20 @@ let gen_profile seed =
     seed = Int64.of_int seed;
   }
 
+let prop_identity objective ~name =
+  QCheck.Test.make ~name ~count:6 (QCheck.int_range 1 100_000) (fun seed ->
+      identical objective (Circuit_gen.generate (gen_profile seed)) = [])
+
 let prop_incremental_identity =
-  QCheck.Test.make ~name:"incremental = full (circuit_gen)" ~count:6
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let c = Circuit_gen.generate (gen_profile seed) in
-      let want = fingerprint Engine.Gates full c in
-      List.for_all
-        (fun (_, options) -> fingerprint Engine.Gates options c = want)
-        variants)
+  prop_identity Engine.Gates ~name:"incremental = full (circuit_gen)"
 
-(* Full worklist matrix: scheduler x domains x commit batch, every cell
-   bit-identical to the full re-enumeration walk. *)
-let worklist_matrix =
-  List.concat_map
-    (fun scheduler ->
-      List.concat_map
-        (fun domains ->
-          List.map
-            (fun commit_batch ->
-              { base with Engine.scheduler; domains; commit_batch })
-            [ 1; 8 ])
-        [ 1; 3 ])
-    [ Engine.Flush; Engine.Graph ]
-
-let prop_worklist_matrix =
-  QCheck.Test.make
-    ~name:"worklist x {flush,graph} x domains x batch = full (circuit_gen)"
-    ~count:4
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let c = Circuit_gen.generate (gen_profile seed) in
-      let want = fingerprint Engine.Gates full c in
-      List.for_all
-        (fun options -> fingerprint Engine.Gates options c = want)
-        worklist_matrix)
+let prop_incremental_identity_paths =
+  prop_identity Engine.Paths ~name:"incremental = full, paths objective (circuit_gen)"
 
 let suite =
   [
     ("footprint: set operations", `Quick, test_footprint_set);
-    ("footprint: clear / intersects / union_into", `Quick, test_footprint_setops);
+    ("footprint: clear keeps the backing store", `Quick, test_footprint_clear);
     ("footprint: fanout cone marking", `Quick, test_footprint_cone);
     ("worklist: topological pop order", `Quick, test_worklist_ordering);
     ("worklist: cursor and deferral", `Quick, test_worklist_cursor);
@@ -395,7 +342,8 @@ let suite =
     ("identity: don't-cares and multi-unit", `Quick, test_incremental_identity_extensions);
     ("equivalence under default options", `Quick, test_incremental_equivalence);
     ("second pass skips clean roots", `Quick, test_incremental_skips_clean_roots);
+    ("oracle pops every live node each pass", `Quick, test_oracle_pops_everything);
     ("sweep-cascade boundary re-dirtied", `Quick, test_sweep_cascade_boundary);
   ]
 
-let qchecks = [ prop_incremental_identity; prop_worklist_matrix ]
+let qchecks = [ prop_incremental_identity; prop_incremental_identity_paths ]
