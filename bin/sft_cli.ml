@@ -811,7 +811,7 @@ let report_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit the report as a single JSON document (report_version 2) \
+            "Emit the report as a single JSON document (report_version 3) \
              with a top-level $(b,funnel_ok) conjunction for scripting.")
   in
   Cmd.v

@@ -13,10 +13,6 @@ type entry =
   | Raw of Truthtable.t * Comparison_fn.spec option
       (** An exact identification verdict for the table, replayed verbatim
           on a warm start. *)
-  | Npn_neg of Truthtable.t * int
-      (** A canonical representative plus pushed phase ({!Npn.push_phase})
-          recording "no function of this class-and-phase is a comparison
-          function". *)
 (** One persisted cache entry. *)
 
 val magic : string
@@ -25,7 +21,8 @@ val magic : string
 val version : int
 (** Format version written into and required from the header; a mismatch
     makes {!load} return nothing and the next {!append} rewrite the
-    file. *)
+    file. Version 2 dropped version 1's NPN-class records, so a v1 store
+    reads as empty. *)
 
 val file : dir:string -> string
 (** [file ~dir] is the store's path inside cache directory [dir]. *)

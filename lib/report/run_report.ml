@@ -304,7 +304,7 @@ let render t =
     end
   in
   tally_table "identification sources" "identify"
-    [ "fresh"; "run_cache"; "idcache_raw"; "idcache_class" ];
+    [ "fresh"; "run_cache"; "idcache_raw" ];
   tally_table "sat escalations" "sat_escalation" [ "test"; "redundant"; "unknown" ];
   tally_table "redundancy proofs" "redundancy_proof" [ "podem"; "sat" ];
   tally_table "cec checks" "cec_check" [ "equivalent"; "counterexample"; "unknown" ];
@@ -367,7 +367,7 @@ let run_json t =
           ] );
       ( "identify",
         tallies_json t "identify"
-          [ "fresh"; "run_cache"; "idcache_raw"; "idcache_class" ] );
+          [ "fresh"; "run_cache"; "idcache_raw" ] );
       ( "sat_escalations",
         tallies_json t "sat_escalation" [ "test"; "redundant"; "unknown" ] );
       ("redundancy_proofs", tallies_json t "redundancy_proof" [ "podem"; "sat" ]);
@@ -380,7 +380,7 @@ let run_json t =
 let to_json_value runs =
   Obs_json.Obj
     [
-      ("report_version", Obs_json.Int 2);
+      ("report_version", Obs_json.Int 3);
       ("funnel_ok", Obs_json.Bool (List.for_all funnel_ok runs));
       ("runs", Obs_json.List (List.map run_json runs));
     ]

@@ -75,7 +75,7 @@ val render : t -> string
 
 val to_json_value : t list -> Obs_json.t
 (** All loaded runs as one JSON document:
-    [{"report_version": 2, "funnel_ok": <all runs>, "runs": [...]}].
+    [{"report_version": 3, "funnel_ok": <all runs>, "runs": [...]}].
     The top-level [funnel_ok] is the conjunction over runs so scripts can
     gate on one field. *)
 

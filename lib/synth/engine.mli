@@ -66,8 +66,8 @@ type options = {
           miter can catch it. Never set this outside tests. *)
   id_cache : bool;
       (** Share one {!Idcache} across all candidates, roots and passes of
-          the run (DESIGN.md §12, §15): raw verdicts replay verbatim and
-          the NPN class layer short-circuits provably negative lookups.
+          the run (DESIGN.md §12, §15): each distinct table is identified
+          once and its exact verdict replays verbatim on every later hit.
           Effective only with the deterministic {!Comparison_fn.Exact}
           engine — sampled verdicts depend on the candidate random stream
           and are never cached — so results are bit-identical with the
@@ -125,9 +125,10 @@ val optimize : objective -> options -> Circuit.t -> stats
     [engine.verify_refused], [engine.verify_unknown], [engine.dirty_regions]
     (splice footprints marked dirty), [engine.worklist_popped] (roots popped
     from the pass worklist), and the {!Idcache} probes [idcache.hits],
-    [idcache.npn_hits], [idcache.disk_hits], [idcache.misses],
-    [idcache.canon_ns]; histograms [engine.cut_size], [engine.dirty_nodes]
-    (nodes newly dirtied per footprint) and [idcache.class_hits]; span
+    [idcache.disk_hits], [idcache.misses] (the retired [idcache.npn_hits]
+    and [idcache.canon_ns] always read 0); histograms [engine.cut_size],
+    [engine.dirty_nodes] (nodes newly dirtied per footprint) and
+    [idcache.class_hits] (hits per cached table); span
     [engine.pass] (one per resynthesis pass). The retired counters
     [engine.reenum_skipped], [engine.commit_waves],
     [engine.concurrent_commits] and [engine.wave_coalesced] stay registered

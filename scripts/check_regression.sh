@@ -14,8 +14,8 @@
 # pass-2 times, read from the `engine.pass` trace spans); the
 # `idcache` section's `gate_ok` asserts the persistent identification
 # cache's determinism contract (off = cold = warm bit-identity, warm-start
-# disk hits, an NPN class layer that strictly improves on raw keys, and a
-# warm hit rate at least the cold one — DESIGN.md §15); and the
+# disk hits, no warm-run misses, and a warm hit rate at least the cold
+# one — DESIGN.md §15); and the
 # `sat_atpg` section's `escalation_ok` asserts that no PODEM-aborted
 # fault stays undecided after SAT escalation (DESIGN.md §14), which is a
 # determinism property, not a timing one; and the `journal` section's
@@ -59,14 +59,14 @@ dune exec --no-build bench/main.exe -- \
 # Incremental-resynthesis and idcache gates: the dirty-root worklist must
 # reproduce the full re-enumeration oracle bit-for-bit, pop fewer roots and
 # not be slower than it; the persistent identification cache must land identical
-# circuits off/cold/warm with warm-start disk hits and an NPN layer that
-# pays for itself.
+# circuits off/cold/warm, and the warm run must serve every lookup from the
+# store the cold run published (disk hits, zero misses).
 if grep -q '"identical_results": false' "$tmp"; then
     echo "check_regression: a bit-identity section diverged (incremental, idcache or journal)" >&2
     exit 1
 fi
 if grep -q '"gate_ok": false' "$tmp"; then
-    echo "check_regression: a section gate failed (incremental pops/speedup, idcache warm-start/NPN/hit-rate, or journal funnel/drops)" >&2
+    echo "check_regression: a section gate failed (incremental pops/speedup, idcache warm-start/misses/hit-rate, or journal funnel/drops)" >&2
     exit 1
 fi
 

@@ -1,155 +1,42 @@
-(* The NPN-canonical, disk-persistent identification cache (DESIGN.md §15):
-   the flip kernel against a per-minterm reference, canonicalisation as an
-   exact NPN-equivalence decision procedure (class counts are known for
-   small arities), soundness of the layered cache against the exact
-   identifier over whole orbits, and the disk store's round-trip,
-   version-mismatch, torn-tail and warm-start behaviour. *)
+(* The raw-key, disk-persistent identification cache (DESIGN.md §15):
+   soundness of the cache against the exact identifier over every 3-input
+   function, and the disk store's round-trip, version-mismatch, torn-tail,
+   corruption and warm-start behaviour. *)
 
 open Helpers
-
-let tt_of_ref n r = Truthtable.create n (fun m -> r.(m))
 
 let random_table rng n =
   Truthtable.create n (fun _ -> Rng.int rng 2 = 1)
 
-(* --- Truthtable.flip ------------------------------------------------------- *)
+let table3 v = Truthtable.create 3 (fun m -> v land (1 lsl m) <> 0)
 
-let test_flip_reference () =
-  for n = 1 to 8 do
-    let rng = Rng.create (Int64.of_int (100 + n)) in
-    let r = Array.init (1 lsl n) (fun _ -> Rng.int rng 2 = 1) in
-    let t = tt_of_ref n r in
-    for var = 1 to n do
-      let flipped = Truthtable.flip t ~var in
-      for m = 0 to (1 lsl n) - 1 do
-        let m' = m lxor (1 lsl (n - var)) in
-        if Truthtable.get flipped m <> r.(m') then
-          Alcotest.failf "flip n=%d var=%d minterm %d" n var m
-      done;
-      if not (Truthtable.equal (Truthtable.flip flipped ~var) t) then
-        Alcotest.failf "flip^2 <> id (n=%d var=%d)" n var
-    done
-  done
+(* --- cache soundness ------------------------------------------------------- *)
 
-(* --- NPN canonicalisation -------------------------------------------------- *)
-
-let rec perms = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x -> List.map (fun r -> x :: r) (perms (List.filter (( <> ) x) l)))
-      l
-
-(* Every NPN transform of arity [n] (2^(n+1) * n! of them). *)
-let all_transforms n =
-  let pis = List.map Array.of_list (perms (List.init n (fun i -> i + 1))) in
-  List.concat_map
-    (fun pi ->
-      List.concat_map
-        (fun negate ->
-          List.init (1 lsl n) (fun phase -> { Npn.pi; phase; negate }))
-        [ false; true ])
-    pis
-
-let random_transform rng n =
-  let pi = Array.init n (fun j -> j + 1) in
-  for j = n - 1 downto 1 do
-    let k = Rng.int rng (j + 1) in
-    let t = pi.(j) in
-    pi.(j) <- pi.(k);
-    pi.(k) <- t
-  done;
-  { Npn.pi; phase = Rng.int rng (1 lsl n); negate = Rng.int rng 2 = 1 }
-
-let test_canon_decomposition () =
-  for n = 1 to 4 do
-    let rng = Rng.create (Int64.of_int (200 + n)) in
-    for _ = 1 to 20 do
-      let f = random_table rng n in
-      let c = Npn.canon f in
-      if not (Truthtable.equal (Npn.apply c.Npn.tr f) c.Npn.repr) then
-        Alcotest.failf "apply tr f <> repr (n=%d, f=%s)" n (Truthtable.to_string f);
-      check int_ "psi = push_phase tr" (Npn.push_phase c.Npn.tr) c.Npn.psi
-    done
-  done
-
-let test_canon_invariance_exhaustive () =
-  (* n = 3, all 256 functions x all 96 transforms: the canonical
-     representative is constant on every orbit. *)
-  let n = 3 in
-  let transforms = all_transforms n in
-  for v = 0 to 255 do
-    let f = Truthtable.of_minterms n (List.filter (fun m -> v land (1 lsl m) <> 0) (List.init 8 Fun.id)) in
-    let repr = (Npn.canon f).Npn.repr in
-    List.iter
-      (fun tr ->
-        let g = Npn.apply tr f in
-        if not (Truthtable.equal (Npn.canon g).Npn.repr repr) then
-          Alcotest.failf "canon not orbit-invariant (v=%d, g=%s)" v
-            (Truthtable.to_string g))
-      transforms
-  done
-
-(* canon(f) = canon(g) <=> f ~NPN g, checked exhaustively through the known
-   NPN class counts: distinct representatives over all 2^(2^n) functions
-   must number 2, 4, 14, 222 for n = 1..4 (e.g. Tarau & Luderman's
-   catalogues; the counts pin both directions of the iff — fewer classes
-   would mean a collision between inequivalent functions, more would mean
-   an orbit with two representatives, given the orbit-invariance test
-   above). *)
-let test_canon_class_counts () =
-  List.iter
-    (fun (n, expected) ->
-      let seen = Hashtbl.create 256 in
-      for v = 0 to (1 lsl (1 lsl n)) - 1 do
-        let f = Truthtable.create n (fun m -> v land (1 lsl m) <> 0) in
-        Hashtbl.replace seen (Truthtable.to_string (Npn.canon f).Npn.repr) ()
-      done;
-      check int_ (Printf.sprintf "NPN classes at n=%d" n) expected
-        (Hashtbl.length seen))
-    [ (1, 2); (2, 4); (3, 14); (4, 222) ]
-
-(* --- cache soundness over whole orbits ------------------------------------- *)
-
-(* Populate a cache with every 3-input function's exact verdict, then query
-   every NPN image of every function: a raw hit must replay the exact
-   verdict, and an NPN-layer hit must only ever stand in for a genuine
-   negative. This exercises the load-bearing subtlety that
-   comparison-function-ness is *not* NPN-invariant (DESIGN.md §15). *)
-let test_cache_sound_on_orbits () =
-  let n = 3 in
+(* Record every 3-input function's exact verdict, then look every one up
+   again: each lookup must replay the exact verdict, positive or
+   negative. *)
+let test_cache_sound_raw () =
   let cache = Idcache.create () in
   let all = List.init 256 Fun.id in
-  let table_of v =
-    Truthtable.create n (fun m -> v land (1 lsl m) <> 0)
-  in
   List.iter
     (fun v ->
-      let f = table_of v in
+      let f = table3 v in
       match Idcache.find cache f with
-      | Idcache.Hit _ | Idcache.Neg_hit -> ()
+      | Idcache.Hit _ -> Alcotest.failf "hit on an empty cache for %d" v
+      | Idcache.Neg_hit -> Alcotest.failf "Neg_hit for %d" v
       | Idcache.Miss m -> Idcache.record cache m (Comparison_fn.identify_exact f))
     all;
-  let transforms = all_transforms n in
+  check int_ "every table recorded" 256 (Idcache.length cache);
   List.iter
     (fun v ->
-      let f = table_of v in
-      List.iter
-        (fun tr ->
-          let g = Npn.apply tr f in
-          let truth = Comparison_fn.identify_exact g in
-          match Idcache.find cache g with
-          | Idcache.Miss _ -> ()
-          | Idcache.Hit verdict ->
-            if verdict <> truth then
-              Alcotest.failf "raw hit returned a wrong verdict for %s"
-                (Truthtable.to_string g)
-          | Idcache.Neg_hit ->
-            if truth <> None then
-              Alcotest.failf
-                "NPN layer claimed %s is not a comparison function, but it is"
-                (Truthtable.to_string g))
-        transforms)
+      let f = table3 v in
+      match Idcache.find cache f with
+      | Idcache.Hit verdict ->
+        if verdict <> Comparison_fn.identify_exact f then
+          Alcotest.failf "hit returned a wrong verdict for %s"
+            (Truthtable.to_string f)
+      | Idcache.Neg_hit -> Alcotest.failf "Neg_hit for %d" v
+      | Idcache.Miss _ -> Alcotest.failf "recorded table %d missed" v)
     all
 
 (* --- disk store ------------------------------------------------------------ *)
@@ -163,7 +50,7 @@ let tmpdir () =
 let populate_n3 cache count =
   (* Record the first [count] 3-input functions' verdicts (cache-miss order). *)
   for v = 0 to count - 1 do
-    let f = Truthtable.create 3 (fun m -> v land (1 lsl m) <> 0) in
+    let f = table3 v in
     match Idcache.find cache f with
     | Idcache.Hit _ | Idcache.Neg_hit -> ()
     | Idcache.Miss m -> Idcache.record cache m (Comparison_fn.identify_exact f)
@@ -173,22 +60,19 @@ let test_disk_round_trip () =
   let dir = tmpdir () in
   let cold = Idcache.create ~dir () in
   populate_n3 cold 64;
-  let raw_n = Idcache.length cold and npn_n = Idcache.npn_length cold in
+  check int_ "every populated table recorded" 64 (Idcache.length cold);
   Idcache.finish cold;
   let warm = Idcache.create ~dir () in
-  check int_ "raw entries survive the round trip" raw_n (Idcache.length warm);
-  check int_ "npn entries survive the round trip" npn_n (Idcache.npn_length warm);
+  check int_ "entries survive the round trip" 64 (Idcache.length warm);
   for v = 0 to 63 do
-    (* Every populated function must warm-hit: raw entries replay the exact
-       verdict; functions that NPN-hit during population have no raw entry
-       and must NPN-hit again, which is only sound for negatives. *)
-    let f = Truthtable.create 3 (fun m -> v land (1 lsl m) <> 0) in
-    let truth = Comparison_fn.identify_exact f in
+    (* Every populated function must warm-hit and replay the exact
+       verdict. *)
+    let f = table3 v in
     match Idcache.find warm f with
     | Idcache.Hit verdict ->
-      if verdict <> truth then Alcotest.failf "warm verdict differs for %d" v
-    | Idcache.Neg_hit ->
-      if truth <> None then Alcotest.failf "unsound warm NPN hit for %d" v
+      if verdict <> Comparison_fn.identify_exact f then
+        Alcotest.failf "warm verdict differs for %d" v
+    | Idcache.Neg_hit -> Alcotest.failf "Neg_hit for %d" v
     | Idcache.Miss _ -> Alcotest.failf "expected a warm hit for %d" v
   done
 
@@ -211,6 +95,59 @@ let test_disk_version_mismatch () =
     if v <> Comparison_fn.identify_exact t then Alcotest.fail "verdict changed"
   | _ -> Alcotest.fail "append after mismatch did not rewrite");
   ()
+
+(* FNV-1a over a whole string, as the store checksums each record. *)
+let fnv1a s =
+  let h = ref 0x811C9DC5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
+  !h
+
+let checksummed body =
+  let b = Buffer.create 32 in
+  Buffer.add_string b body;
+  Buffer.add_int32_le b (Int32.of_int (fnv1a body));
+  Buffer.contents b
+
+(* A version-1 store: a kind-1 raw negative for [t] and a kind-2 NPN
+   record (canonical table words + pushed phase u16), both well formed
+   and checksummed, so only the version keeps them out. *)
+let v1_store t =
+  let table_bytes t =
+    let b = Buffer.create 16 in
+    Buffer.add_uint8 b (Truthtable.arity t);
+    Array.iter (Buffer.add_int64_le b) (Truthtable.words t);
+    Buffer.contents b
+  in
+  let b = Buffer.create 64 in
+  Buffer.add_string b Id_store.magic;
+  Buffer.add_uint16_le b 1;
+  Buffer.add_string b (checksummed ("\x01" ^ table_bytes t ^ "\x00"));
+  Buffer.add_string b (checksummed ("\x02" ^ table_bytes t ^ "\x03\x00"));
+  Buffer.contents b
+
+let test_disk_v1_store () =
+  let dir = tmpdir () in
+  let path = Id_store.file ~dir in
+  let oc = open_out_bin path in
+  output_string oc (v1_store (table3 0b01101001));
+  close_out oc;
+  check int_ "v1 store loads as empty" 0 (List.length (Id_store.load path));
+  let cache = Idcache.create ~dir () in
+  check int_ "cache starts empty" 0 (Idcache.length cache);
+  populate_n3 cache 8;
+  Idcache.flush cache;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  check int_ "flush republishes the header as the current version"
+    Id_store.version (String.get_uint16_le s 6);
+  check int_ "current version is 2" 2 Id_store.version;
+  let entries = Id_store.load path in
+  check int_ "only the fresh entries survive" 8 (List.length entries);
+  List.iteri
+    (fun v (Id_store.Raw (t, verdict)) ->
+      check bool_ "fresh table in miss order" true (Truthtable.equal t (table3 v));
+      if verdict <> Comparison_fn.identify_exact t then
+        Alcotest.failf "verdict changed for %d" v)
+    entries
 
 let test_disk_torn_tail () =
   let dir = tmpdir () in
@@ -263,6 +200,82 @@ let test_disk_corrupt_record () =
   check int_ "corruption truncates at the bad record" 1
     (List.length (Id_store.load path))
 
+(* A seeded hostile-store sweep (ROADMAP robustness): random byte flips
+   and truncations of a valid store must never make [load] raise; what it
+   returns must be a prefix of the original entries, and every spec it
+   returns must be well formed. *)
+let ok_spec n (s : Comparison_fn.spec) =
+  let seen = Array.make (n + 1) false in
+  Array.length s.perm = n
+  && Array.for_all
+       (fun v -> v >= 1 && v <= n && (not seen.(v)) && (seen.(v) <- true; true))
+       s.perm
+  && s.lo <= s.hi
+  && s.hi < 1 lsl n
+
+let test_disk_hostile () =
+  let rng = Rng.create 4242L in
+  let dir = tmpdir () in
+  let path = Id_store.file ~dir in
+  let entries =
+    List.init 40 (fun i ->
+        let n = Rng.int rng 7 in
+        let t =
+          if i mod 2 = 0 then random_table rng n
+          else begin
+            (* A genuine comparison function, so positive verdicts (and
+               their spec payloads) are in the store too. *)
+            let perm = Array.init n (fun j -> j + 1) in
+            for j = n - 1 downto 1 do
+              let k = Rng.int rng (j + 1) in
+              let x = perm.(j) in
+              perm.(j) <- perm.(k);
+              perm.(k) <- x
+            done;
+            let a = Rng.int rng (1 lsl n) and b = Rng.int rng (1 lsl n) in
+            Comparison_fn.spec_table n
+              { Comparison_fn.perm; lo = min a b; hi = max a b; complemented = false }
+          end
+        in
+        Id_store.Raw (t, Comparison_fn.identify_exact t))
+  in
+  Id_store.append path entries;
+  let original = In_channel.with_open_bin path In_channel.input_all in
+  let len = String.length original in
+  let same (Id_store.Raw (t, v)) (Id_store.Raw (t', v')) =
+    Truthtable.equal t t' && v = v'
+  in
+  let rec is_prefix got orig =
+    match (got, orig) with
+    | [], _ -> true
+    | g :: gs, o :: os -> same g o && is_prefix gs os
+    | _ :: _, [] -> false
+  in
+  let corrupt = Filename.concat dir "corrupt.bin" in
+  for trial = 1 to 400 do
+    let b = Bytes.of_string original in
+    for _ = 1 to 1 + Rng.int rng 4 do
+      let i = Rng.int rng len in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Rng.int rng 255)))
+    done;
+    let keep = if Rng.int rng 2 = 0 then len else Rng.int rng (len + 1) in
+    Out_channel.with_open_bin corrupt (fun oc ->
+        Out_channel.output oc b 0 keep);
+    match Id_store.load corrupt with
+    | exception e ->
+      Alcotest.failf "trial %d: load raised %s" trial (Printexc.to_string e)
+    | got ->
+      if not (is_prefix got entries) then
+        Alcotest.failf "trial %d: load returned a non-prefix" trial;
+      List.iter
+        (fun (Id_store.Raw (t, v)) ->
+          match v with
+          | Some spec when not (ok_spec (Truthtable.arity t) spec) ->
+            Alcotest.failf "trial %d: malformed spec loaded" trial
+          | _ -> ())
+        got
+  done
+
 (* --- engine warm start ----------------------------------------------------- *)
 
 let optimize_fingerprint options c =
@@ -295,19 +308,6 @@ let test_engine_warm_start_identity () =
 
 let arb_seed = QCheck.int_range 1 1_000_000
 
-let prop_canon_invariant_k56 =
-  QCheck.Test.make ~name:"canon is NPN-orbit-invariant at K = 5, 6" ~count:60
-    (QCheck.pair (QCheck.int_range 5 6) arb_seed)
-    (fun (n, seed) ->
-      let rng = Rng.create (Int64.of_int seed) in
-      let f = random_table rng n in
-      let c = Npn.canon f in
-      let g = Npn.apply (random_transform rng n) f in
-      let cg = Npn.canon g in
-      Truthtable.equal (Npn.apply c.Npn.tr f) c.Npn.repr
-      && Truthtable.equal cg.Npn.repr c.Npn.repr
-      && c.Npn.psi = Npn.push_phase c.Npn.tr)
-
 let prop_store_round_trip =
   QCheck.Test.make ~name:"disk entries round-trip bit-exactly" ~count:30 arb_seed
     (fun seed ->
@@ -315,47 +315,37 @@ let prop_store_round_trip =
       let dir = tmpdir () in
       let path = Id_store.file ~dir in
       let entries =
-        List.init 5 (fun i ->
-            let n = 1 + Rng.int rng 6 in
+        List.init 5 (fun _ ->
+            (* Arity 0 included: the engine caches constant cuts too. *)
+            let n = Rng.int rng 7 in
             let t = random_table rng n in
-            if i mod 2 = 0 then Id_store.Raw (t, Comparison_fn.identify_exact t)
-            else
-              let c = Npn.canon t in
-              Id_store.Npn_neg (c.Npn.repr, c.Npn.psi))
+            Id_store.Raw (t, Comparison_fn.identify_exact t))
       in
       Id_store.append path entries;
       let back = Id_store.load path in
       List.length back = List.length entries
       && List.for_all2
-           (fun a b ->
-             match (a, b) with
-             | Id_store.Raw (t, v), Id_store.Raw (t', v') ->
-               Truthtable.equal t t' && v = v'
-             | Id_store.Npn_neg (t, p), Id_store.Npn_neg (t', p') ->
-               Truthtable.equal t t' && p = p'
-             | _ -> false)
+           (fun (Id_store.Raw (t, v)) (Id_store.Raw (t', v')) ->
+             Truthtable.equal t t' && v = v')
            entries back)
 
 let suite =
   [
-    Alcotest.test_case "flip matches per-minterm reference" `Quick test_flip_reference;
-    Alcotest.test_case "canon decomposes: apply tr f = repr" `Quick
-      test_canon_decomposition;
-    Alcotest.test_case "canon orbit-invariant (n=3, exhaustive)" `Quick
-      test_canon_invariance_exhaustive;
-    Alcotest.test_case "NPN class counts 2/4/14/222 (n=1..4)" `Slow
-      test_canon_class_counts;
-    Alcotest.test_case "cache sound over whole orbits (n=3)" `Slow
-      test_cache_sound_on_orbits;
+    Alcotest.test_case "raw-layer soundness on every 3-input function" `Quick
+      test_cache_sound_raw;
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "version mismatch reads empty, append rewrites" `Quick
       test_disk_version_mismatch;
+    Alcotest.test_case "v1 store reads empty, flush rewrites as v2" `Quick
+      test_disk_v1_store;
     Alcotest.test_case "torn tail: reader keeps prefix, writer repairs" `Quick
       test_disk_torn_tail;
     Alcotest.test_case "checksum rejects corrupt record" `Quick
       test_disk_corrupt_record;
+    Alcotest.test_case "hostile store: flips and truncations load a prefix" `Quick
+      test_disk_hostile;
     Alcotest.test_case "engine warm start: identical circuits, disk hits" `Slow
       test_engine_warm_start_identity;
   ]
 
-let qchecks = [ prop_canon_invariant_k56; prop_store_round_trip ]
+let qchecks = [ prop_store_round_trip ]

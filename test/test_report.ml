@@ -129,7 +129,7 @@ let test_run_report_json_and_diff () =
       | Error msg -> Alcotest.failf "report JSON invalid: %s" msg
       | Ok doc ->
         check bool_ "report_version present" true
-          (Obs_json.member "report_version" doc = Some (Obs_json.Int 2));
+          (Obs_json.member "report_version" doc = Some (Obs_json.Int 3));
         (match Obs_json.member "runs" doc with
         | Some (Obs_json.List [ run ]) ->
           List.iter

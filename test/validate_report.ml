@@ -14,8 +14,8 @@ let () =
     | Ok doc -> doc
     | Error msg -> die "%s: invalid JSON: %s" file msg
   in
-  if Obs_json.member "report_version" doc <> Some (Obs_json.Int 2) then
-    die "%s: report_version 2 missing" file;
+  if Obs_json.member "report_version" doc <> Some (Obs_json.Int 3) then
+    die "%s: report_version 3 missing" file;
   if Obs_json.member "funnel_ok" doc <> Some (Obs_json.Bool true) then
     die "%s: top-level funnel_ok missing or false" file;
   let runs =
