@@ -1054,8 +1054,9 @@ let rec micro () =
   parallel_speedups ()
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-engine speedups: the three hottest loops, measured serial   *)
-(* (1 domain) against the --domains pool, with a bit-identity check.    *)
+(* Parallel-campaign speedups: the two pooled campaigns, measured      *)
+(* serial (1 domain) against the --domains pool, with a bit-identity    *)
+(* check.                                                               *)
 (* ------------------------------------------------------------------ *)
 
 and parallel_speedups () =
@@ -1126,29 +1127,6 @@ and parallel_speedups () =
       sp_serial = tp1;
       sp_parallel = tpn;
       sp_identical = p1 = pn;
-    };
-  (* Resynthesis engine: concurrent candidate scoring. *)
-  let engine_opts d =
-    { (proc2_options 5) with Engine.max_candidates = 32; max_passes = 1; domains = d }
-  in
-  let (s1, c1), te1 =
-    time_wall (fun () ->
-        let c = Circuit.copy par_circuit in
-        (Procedure2.run ~options:(engine_opts 1) c, c))
-  in
-  let (sn, cn), ten =
-    time_wall (fun () ->
-        let c = Circuit.copy par_circuit in
-        (Procedure2.run ~options:(engine_opts nd) c, c))
-  in
-  report
-    {
-      sp_kernel = "engine_score_candidates";
-      sp_circuit = "micro-par";
-      sp_domains = nd;
-      sp_serial = te1;
-      sp_parallel = ten;
-      sp_identical = s1 = sn && Bench_format.to_string c1 = Bench_format.to_string cn;
     }
 
 (* ------------------------------------------------------------------ *)

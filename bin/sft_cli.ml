@@ -56,14 +56,13 @@ let output_arg =
 let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+let domains_arg_doc doc = Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)
+
 let domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Computation domains for parallel execution: 0 picks the \
-           recommended domain count, 1 forces the serial path. Results are \
-           identical for every value.")
+  domains_arg_doc
+    "Computation domains for parallel execution: 0 picks the recommended \
+     domain count, 1 forces the serial path. Results are identical for every \
+     value."
 
 (* --- observability plumbing ---------------------------------------------- *)
 
@@ -266,7 +265,7 @@ let optimize_cmd =
             Engine.k;
             engine;
             merge = not no_merge;
-            verify_global = verify;
+            verify = (if verify then `Full else Engine.default_options.verify);
             use_dontcares = dontcares;
             max_units = units;
             id_cache = not no_id_cache;
@@ -297,7 +296,20 @@ let optimize_cmd =
   in
   let no_merge = Arg.(value & flag & info [ "no-merge" ] ~doc:"Disable chain-gate merging.") in
   let verify =
-    Arg.(value & flag & info [ "verify" ] ~doc:"Random-pattern equivalence check after each pass.")
+    Arg.(
+      value & flag
+      & info [ "verify" ]
+          ~doc:
+            "SAT-prove every accepted replacement against the circuit \
+             before it (DESIGN.md Sec. 10) and roll back any that fails. \
+             Without it, every 8th acceptance is proved, starting with the \
+             first.")
+  in
+  let domains =
+    domains_arg_doc
+      "Computation domains for the SAT proofs of accepted replacements: 0 \
+       picks the recommended domain count, 1 proves serially. Candidate \
+       scoring is always serial. Results are identical for every value."
   in
   let dontcares =
     Arg.(
@@ -347,7 +359,7 @@ let optimize_cmd =
     Term.(
       const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
       $ verify $ dontcares $ units $ no_id_cache $ cache_dir $ no_incremental
-      $ domains_arg $ output_arg
+      $ domains $ output_arg
       $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
 
 (* --- check ----------------------------------------------------------------- *)

@@ -5,15 +5,12 @@
    verbatim, so cached runs build byte-identical circuits — the spec
    determines the unit, the unit the splice. Every miss is identified
    exactly and recorded here, so each distinct table is identified at
-   most once per run.
+   most once per run: the engine records each miss before it looks up the
+   next table.
 
-   Concurrency contract (the engine's frozen-read/deferred-merge
-   discipline, DESIGN.md §12): [find] is read-only and safe from pool
-   workers against a frozen cache (per-entry hit counts are atomics);
-   [record] and [finish] must only be called by the orchestrating domain
-   between batches. The disk store adds cross-process sharing: entries
-   loaded at [create], fresh entries appended at [finish] under the
-   store's advisory lock. *)
+   A cache belongs to one domain; nothing in it is synchronised. The disk
+   store adds cross-process sharing: entries loaded at [create], fresh
+   entries appended at [finish] under the store's advisory lock. *)
 
 module TT = Hashtbl.Make (struct
   type t = Truthtable.t
@@ -27,7 +24,7 @@ type verdict = Comparison_fn.spec option
 type entry = {
   verdict : verdict;
   from_disk : bool;
-  hits : int Atomic.t;
+  mutable hits : int;
 }
 
 type t = {
@@ -79,7 +76,7 @@ let create ?dir () =
       List.iter
         (fun (Id_store.Raw (tbl, v)) ->
           if not (TT.mem raw tbl) then
-            TT.add raw tbl { verdict = v; from_disk = true; hits = Atomic.make 0 })
+            TT.add raw tbl { verdict = v; from_disk = true; hits = 0 })
         (Id_store.load path))
     file;
   { raw; file; fresh = [] }
@@ -89,7 +86,7 @@ let length t = TT.length t.raw
 let find t f =
   match TT.find_opt t.raw f with
   | Some e ->
-    Atomic.incr e.hits;
+    e.hits <- e.hits + 1;
     Obs.Counter.incr hits_c;
     if e.from_disk then Obs.Counter.incr disk_hits_c;
     if Obs.Journal.enabled () then
@@ -112,7 +109,7 @@ let record t f v =
         ("src", Obs_json.String "fresh"); ("verdict", Obs_json.Bool (v <> None));
       ];
   if not (TT.mem t.raw f) then begin
-    TT.add t.raw f { verdict = v; from_disk = false; hits = Atomic.make 0 };
+    TT.add t.raw f { verdict = v; from_disk = false; hits = 0 };
     if t.file <> None then t.fresh <- Id_store.Raw (f, v) :: t.fresh
   end
 
@@ -124,8 +121,6 @@ let flush t =
 
 let finish t =
   TT.iter
-    (fun _ e ->
-      let h = Atomic.get e.hits in
-      if h > 0 then Obs.Histogram.observe class_hits_h h)
+    (fun _ e -> if e.hits > 0 then Obs.Histogram.observe class_hits_h e.hits)
     t.raw;
   flush t

@@ -11,10 +11,10 @@
 
     With a cache directory, entries load at {!create} and fresh ones are
     appended at {!finish} through {!Id_store}, sharing verdicts across
-    runs and processes. Thread contract: {!find} is read-only (safe from
-    pool workers against a frozen cache), {!record}/{!finish} belong to
-    the orchestrating domain — the engine's frozen-read/deferred-merge
-    discipline, which keeps [domains = 1] and [domains = n] bit-identical.
+    runs and processes. A cache is not synchronised: use it from one
+    domain. The engine {!record}s each miss as soon as it is identified,
+    so a table that recurs within a run, even within one root's candidate
+    batch, is identified once.
 
     Probes: [idcache.hits], [idcache.disk_hits], [idcache.misses], and the
     [idcache.class_hits] histogram (hits per cached table over a run). The
@@ -50,15 +50,14 @@ val create : ?dir:string -> unit -> t
     arranges for {!finish} to append this run's fresh entries there. *)
 
 val find : t -> Truthtable.t -> lookup
-(** Look a table up: one hash probe, [Hit] or [Miss]. Read-only — never
-    mutates the cache beyond atomic per-entry hit counts, so concurrent
-    calls from pool workers are safe. *)
+(** Look a table up: one hash probe, [Hit] or [Miss]. A hit bumps the
+    entry's hit count, which {!finish} reports. *)
 
 val record : t -> miss -> verdict -> unit
-(** Merge a computed verdict for an earlier {!Miss} into the cache. First
-    verdict wins — for the deterministic exact engine duplicates are
-    equal, so merge order cannot matter. The entry is queued for the disk
-    store only when the cache has one. Orchestrating domain only. *)
+(** Store a computed verdict for an earlier {!Miss}; later {!find}s of
+    the table hit. If the table is already cached the first verdict stays
+    (for the deterministic exact engine both are equal). The entry is
+    queued for the disk store only when the cache has one. *)
 
 val length : t -> int
 (** Number of distinct tables cached. *)

@@ -227,27 +227,15 @@ let for_chunks t ?chunk ?(serial_below = 0) ~n body =
       | None -> ()
     end
 
-let map_chunks t ?chunk ?serial_below ~state ~f arr =
+let map t ?chunk ?serial_below f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    (* Each slot only ever touches its own entry, so no locking. *)
-    let states = Array.make t.n_domains None in
-    for_chunks t ?chunk ?serial_below ~n (fun ~slot ~lo ~hi ->
-        let st =
-          match states.(slot) with
-          | Some st -> st
-          | None ->
-            let st = state slot in
-            states.(slot) <- Some st;
-            st
-        in
+    (* Chunks cover disjoint index ranges, so no locking. *)
+    for_chunks t ?chunk ?serial_below ~n (fun ~slot:_ ~lo ~hi ->
         for i = lo to hi - 1 do
-          out.(i) <- Some (f st i arr.(i))
+          out.(i) <- Some (f arr.(i))
         done);
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let map t ?chunk ?serial_below f arr =
-  map_chunks t ?chunk ?serial_below ~state:(fun _ -> ()) ~f:(fun () _ x -> f x) arr

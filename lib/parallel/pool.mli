@@ -1,6 +1,6 @@
 (** Reusable [Domain]-based worker pool for the embarrassingly parallel
-    inner loops of the toolchain (fault campaigns, wave simulation,
-    candidate scoring).
+    inner loops of the toolchain (fault campaigns, wave simulation, SAT
+    equivalence checking).
 
     A pool represents a fixed budget of [domains] computation domains: the
     calling domain (slot 0) plus [domains - 1] spawned worker domains
@@ -17,7 +17,7 @@
     Determinism contract: as long as the supplied work functions are
     deterministic per index and do not communicate through shared mutable
     state (other than writing to disjoint slots of caller-owned arrays),
-    every [map]/[map_chunks]/[for_chunks] call yields results identical to
+    every [map]/[for_chunks] call yields results identical to
     a serial left-to-right execution.
 
     When {!Obs.enabled} is on, every chunk execution is accounted to the
@@ -83,20 +83,8 @@ val for_chunks :
     (submissions kept inline) or [pool.parallel_jobs] (submissions fanned
     out) when {!Obs.enabled}. *)
 
-val map_chunks :
-  t ->
-  ?chunk:int ->
-  ?serial_below:int ->
-  state:(int -> 's) ->
-  f:('s -> int -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** Ordered parallel map with per-worker state. [state slot] is called at
-    most once per slot per invocation (lazily, on the slot's first chunk)
-    to build worker-local scratch state — e.g. a simulator instance — and
-    [f st i x] computes the result for index [i]. The returned array
-    satisfies [result.(i) = f st i arr.(i)] with indices in their original
-    positions (deterministic ordered merge). *)
-
 val map : t -> ?chunk:int -> ?serial_below:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_chunks] without per-worker state. *)
+(** Ordered parallel map: [map t f arr] is [Array.map f arr], with the
+    indices split into chunks by {!for_chunks} (same [chunk] and
+    [serial_below]) and each result written back at its original
+    position. *)

@@ -12,15 +12,11 @@ type options = {
   max_candidates : int;
   engine : Comparison_fn.engine;
   merge : bool;
-  verify_local : bool;
-  verify_global : bool;
   max_passes : int;
   seed : int64;
   use_dontcares : bool;
-  dc_backtracks : int;
   max_units : int;
   domains : int;
-  obs : bool;
   verify : verify;
   inject_unsound : int;
   id_cache : bool;
@@ -34,15 +30,11 @@ let default_options =
     max_candidates = 64;
     engine = Comparison_fn.Exact;
     merge = true;
-    verify_local = true;
-    verify_global = false;
     max_passes = 16;
     seed = 1L;
     use_dontcares = false;
-    dc_backtracks = 200;
     max_units = 1;
     domains = 0;
-    obs = false;
     verify = `Sampled 8;
     inject_unsound = 0;
     id_cache = true;
@@ -50,9 +42,7 @@ let default_options =
     incremental = true;
   }
 
-(* Observability probes. [cut_size_h] and [realised_c] fire inside worker
-   evaluation — counters and histograms are atomic, so that is safe; spans
-   stay on the orchestrating domain. *)
+(* Observability probes, all fired from the serial walk. *)
 let candidates_c = Obs.Counter.make ~help:"subcircuit candidates enumerated" "engine.candidates"
 let realised_c = Obs.Counter.make ~help:"candidates realised as units" "engine.realised"
 let accepted_c = Obs.Counter.make ~help:"replacements spliced in" "engine.accepted"
@@ -152,8 +142,7 @@ let realise opts rng ~identify ~sim c sub tt =
             let diff = Truthtable.minterms (Truthtable.lxor_ g tt) in
             if diff = [] then Some (built, true)
             else if
-              Dontcare.prove_unreachable ~backtrack_limit:opts.dc_backtracks c
-                sub.Subcircuit.inputs diff
+              Dontcare.prove_unreachable c sub.Subcircuit.inputs diff
             then Some (built, false)
             else None
         end)
@@ -173,11 +162,13 @@ let realise opts rng ~identify ~sim c sub tt =
     | Some r -> Some r
     | None -> with_multi ())
 
-(* Candidate evaluations must not share a mutable random stream when they
-   run concurrently, so each candidate derives its own generator from the
-   engine seed, the root and its enumeration index (splitmix64 finaliser).
-   The serial path uses the same derivation, keeping [domains = 1] and
-   [domains = n] runs identical. *)
+(* Each candidate derives its own generator from the engine seed, the root
+   and its enumeration index (splitmix64 finaliser) instead of drawing from
+   one shared stream. A shared stream would make every draw depend on how
+   many candidates ran before it, so the incremental walk, which skips
+   clean roots, would shift the draws of every later root, and sampled,
+   don't-care and multi-unit runs would stop matching the full
+   re-enumeration oracle ([incremental = false]). *)
 let candidate_seed base root idx =
   let z =
     Int64.add
@@ -188,12 +179,11 @@ let candidate_seed base root idx =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-
 (* Per-run scratch threaded through every pass: the persistent dirty
    worklist, the output-reachable set, the reusable enumeration dedup table
-   and the serial extraction buffer. All survive circuit growth — the
-   bitsets grow on demand, the dedup table is cleared per root, and the
-   scratch buffer is re-allocated when the circuit outgrows it. *)
+   and the extraction buffer. All survive circuit growth — the bitsets grow
+   on demand, the dedup table is cleared per root, and the scratch buffer is
+   re-allocated when the circuit outgrows it. *)
 type run_state = {
   wl : Footprint.Worklist.t;
   reachable : Footprint.set;
@@ -233,34 +223,23 @@ let make_run_state c =
     scratch = [||];
   }
 
-(* Below this many candidates a pooled scoring batch runs inline on the
-   calling domain: publishing a job and waking the workers costs more than
-   scoring a handful of cuts (the source of the sub-1.0x pooled "speedups"
-   on small circuits). Scheduling-only — results are unchanged. *)
-let score_serial_cutoff = 48
-
-(* Enumeration stays serial; [realise] / truth-table extraction fan out
-   across the pool. Results come back in enumeration order (deterministic
-   ordered merge), so the fold over [better] below sees candidates in the
-   same order as a serial run and tie-breaks identically.
-
-   The identification cache is never written during scoring: every
-   evaluation — worker or serial — looks up the frozen cache read-only and
-   records its misses locally; the orchestrating domain merges them below
-   once the whole batch is back. Deferring the serial merge too keeps
-   hit/miss counts identical across [domains] settings. *)
-let score_candidates ?pool ?cache ~st opts ~sim labels c root =
+(* Score every enumerated cut of [root], in enumeration order, so the fold
+   over [better] below tie-breaks on the first of equal candidates. A cache
+   miss is identified and recorded at once: a table that recurs later in
+   the same batch is a hit. *)
+let score_candidates ?cache ~st opts ~sim labels c root =
   let subs =
     Array.of_list
       (Subcircuit.enumerate ~dedup:st.dedup ~k:opts.k
          ~max_candidates:opts.max_candidates c root)
   in
   Obs.Counter.add candidates_c (Array.length subs);
-  let eval scratch idx sub =
+  if Array.length st.scratch < Circuit.size c then
+    st.scratch <- Array.make (Circuit.size c) 0L;
+  let eval idx sub =
     let rng = Rng.create (candidate_seed opts.seed root idx) in
     Obs.Histogram.observe cut_size_h (Array.length sub.Subcircuit.inputs);
-    let tt = Subcircuit.extract ~scratch c sub in
-    let misses = ref [] in
+    let tt = Subcircuit.extract ~scratch:st.scratch c sub in
     let identify tt =
       match cache with
       | None -> Comparison_fn.identify opts.engine rng tt
@@ -270,45 +249,18 @@ let score_candidates ?pool ?cache ~st opts ~sim labels c root =
         | Idcache.Neg_hit -> None
         | Idcache.Miss m ->
           let verdict = Comparison_fn.identify opts.engine rng tt in
-          misses := (m, verdict) :: !misses;
+          Idcache.record cache m verdict;
           verdict)
     in
-    let cand =
-      match realise opts rng ~identify ~sim c sub tt with
-      | None -> None
-      | Some (built, exact) ->
-        Obs.Counter.incr realised_c;
-        let gain = Subcircuit.removable_cost c sub - built.Comparison_unit.gates2 in
-        let new_paths = replaced_path_label labels sub built in
-        Some { sub; built; gain; new_paths; exact }
-    in
-    (cand, !misses)
+    match realise opts rng ~identify ~sim c sub tt with
+    | None -> None
+    | Some (built, exact) ->
+      Obs.Counter.incr realised_c;
+      let gain = Subcircuit.removable_cost c sub - built.Comparison_unit.gates2 in
+      let new_paths = replaced_path_label labels sub built in
+      Some { sub; built; gain; new_paths; exact }
   in
-  let scored =
-    match pool with
-    | Some pool when Array.length subs > 1 ->
-      (* Workers read the circuit concurrently; materialise the lazy
-         fanout cache up front so they never race to build it. Each worker
-         slot keeps its own extraction scratch for the batch. *)
-      ignore (Circuit.fanouts c root);
-      Pool.map_chunks pool ~chunk:1 ~serial_below:score_serial_cutoff
-        ~state:(fun _ -> Array.make (Circuit.size c) 0L)
-        ~f:eval subs
-    | _ ->
-      if Array.length st.scratch < Circuit.size c then
-        st.scratch <- Array.make (Circuit.size c) 0L;
-      Array.mapi (eval st.scratch) subs
-  in
-  (match cache with
-  | None -> ()
-  | Some cache ->
-    Array.iter
-      (fun (_, misses) ->
-        List.iter
-          (fun (m, verdict) -> Idcache.record cache m verdict)
-          (List.rev misses))
-      scored);
-  List.filter_map fst (Array.to_list scored)
+  List.filter_map Fun.id (Array.to_list (Array.mapi eval subs))
 
 (* Strictly-better-than ordering for the two objectives. [current_paths] is
    the Procedure-1 label on the root before replacement. *)
@@ -449,13 +401,12 @@ let run_pass ?pool ?cache objective opts vstate st c =
     (* Don't-care replacements intentionally differ from the subcircuit
        function on proved-unreachable combinations, so the exhaustive
        local check only applies to exact ones. *)
-    let verify_local = opts.verify_local && cand.exact in
     let snapshot =
       if should_verify opts.verify idx then Some (Circuit.copy c) else None
     in
     let since = Circuit.size c in
     let pre_fanins = if incremental then Some (snapshot_fanins ()) else None in
-    let fresh = Replace.splice ~verify_local c cand.sub cand.built in
+    let fresh = Replace.splice ~verify_local:cand.exact c cand.sub cand.built in
     (if opts.inject_unsound = idx + 1 then
        match inverted_kind (Circuit.kind c fresh) with
        | Some k -> Circuit.set_kind c fresh k
@@ -516,7 +467,7 @@ let run_pass ?pool ?cache objective opts vstate st c =
           if better objective ~current_paths:labels.(g) cand best then Some cand
           else best)
         None
-        (score_candidates ?pool ?cache ~st opts ~sim labels c g)
+        (score_candidates ?cache ~st opts ~sim labels c g)
     in
     match chosen with
     | None -> ()
@@ -549,7 +500,6 @@ let run_pass ?pool ?cache objective opts vstate st c =
   !replacements
 
 let optimize_with ?pool objective opts c =
-  let reference = if opts.verify_global then Some (Circuit.copy c) else None in
   (* Establish "alive implies output-reachable (or Input)" before the first
      pass. Every splice sweeps, so the invariant then holds for the whole
      run, and [st.reachable] can only lose members by their death. *)
@@ -583,15 +533,8 @@ let optimize_with ?pool objective opts c =
           run_pass ?pool ?cache objective opts vstate st c)
     in
     replacements := !replacements + r;
-    (match reference with
-    | Some reference ->
-      if not (Eval.equivalent_random ~patterns:2048 ~seed:opts.seed reference c)
-      then failwith "Engine.optimize: pass broke circuit equivalence"
-    | None -> ());
     if r = 0 then continue := false
   done;
-  (* Per-class hit accounting + disk flush; serial, after the last batch
-     merged, so the frozen-read discipline is respected. *)
   Option.iter Idcache.finish cache;
   {
     passes = !passes;
@@ -604,9 +547,12 @@ let optimize_with ?pool objective opts c =
     verify_refused = vstate.refused;
   }
 
+(* The pool serves only [Cec.check], so it exists only when there is more
+   than one domain and the policy proves anything at all (it proves the
+   first acceptance iff it proves any). *)
 let optimize objective opts c =
-  if opts.obs then Obs.enable ();
   let domains = Pool.domains_of_flag opts.domains in
-  if domains <= 1 then optimize_with objective opts c
+  if domains <= 1 || not (should_verify opts.verify 0) then
+    optimize_with objective opts c
   else
     Pool.with_pool ~domains (fun pool -> optimize_with ~pool objective opts c)

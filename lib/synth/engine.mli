@@ -8,7 +8,9 @@
     fixpoint. The walk pops its roots from a {!Footprint.Worklist}
     (DESIGN.md §13): every gate on the first pass, and on later passes only
     the gates some earlier splice dirtied — or, with [incremental] off,
-    every gate again. *)
+    every gate again. The walk is serial, candidate scoring included; the
+    only parallel work is the SAT verification of accepted replacements
+    ({!verify}), which runs on a pool of [domains] domains. *)
 
 type objective =
   | Gates  (** Procedure 2: maximise gate reduction, tie-break on paths. *)
@@ -37,28 +39,29 @@ type options = {
   max_candidates : int;  (** candidate cap per root *)
   engine : Comparison_fn.engine;
   merge : bool;  (** merge chain gates inside units (Fig. 4) *)
-  verify_local : bool;  (** exhaustive check of each replacement *)
-  verify_global : bool;  (** random-pattern whole-circuit check per pass *)
   max_passes : int;
   seed : int64;
   use_dontcares : bool;
       (** paper Sec. 6, issue 1: when plain identification fails, retry with
           controllability don't-cares; every exploited disagreement is proved
-          unreachable by justification search before the replacement is
+          unreachable by justification search (the default
+          {!Dontcare.prove_unreachable} budget) before the replacement is
           considered. *)
-  dc_backtracks : int;  (** justification budget per proof *)
   max_units : int;
       (** paper Sec. 6, issue 2: cover a subfunction with up to this many
           comparison units sharing a permutation (1 = single units only). *)
   domains : int;
-      (** domain-pool width for concurrent candidate evaluation
-          (enumeration and splicing stay serial), resolved by
-          {!Pool.domains_of_flag}: [<= 0] picks the recommended width, [1]
-          forces the serial path. Results are identical for every value
-          because candidates are scored with per-candidate derived seeds
-          and merged back in enumeration order. *)
-  obs : bool;  (** force-enable {!Obs} collection for this run. *)
-  verify : verify;  (** SAT-based replacement verification, see {!verify}. *)
+      (** Width of the pool that {!Cec.check} proves accepted replacements
+          on, resolved by {!Pool.domains_of_flag}: [<= 0] picks the
+          recommended width, [1] proves serially. No pool is created when
+          [verify] proves nothing. Everything else in the engine is serial,
+          so results are identical for every value. *)
+  verify : verify;
+      (** SAT-based replacement verification, see {!verify}. Every
+          exact replacement is also checked exhaustively against the
+          subcircuit it replaces before the splice ({!Replace.splice});
+          don't-care replacements skip that local check. The CLI's
+          [--verify] selects [`Full]. *)
   inject_unsound : int;
       (** Fault-injection hook for the test suite: corrupt the [n]-th
           accepted replacement (1-based; [0] = never) by inverting the
@@ -71,7 +74,7 @@ type options = {
           Effective only with the deterministic {!Comparison_fn.Exact}
           engine — sampled verdicts depend on the candidate random stream
           and are never cached — so results are bit-identical with the
-          cache on or off, and for any [domains] width. The CLI escape
+          cache on or off. The CLI escape
           hatch is [--no-id-cache]. *)
   cache_dir : string option;
       (** Directory of the persistent identification store (DESIGN.md §15):
@@ -97,9 +100,9 @@ type options = {
 }
 
 val default_options : options
-(** K = 6, 64 candidates, exact identification, merging, local verification
-    on, global verification off, at most 16 passes, seed 1, extensions off,
-    [domains = 0] (auto), [obs = false], [verify = `Sampled 8],
+(** K = 6, 64 candidates, exact identification, merging, at most 16
+    passes, seed 1, extensions off, [domains = 0] (auto),
+    [verify = `Sampled 8],
     [inject_unsound = 0], [id_cache = true], [cache_dir = None],
     [incremental = true]. *)
 
@@ -117,8 +120,7 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 val optimize : objective -> options -> Circuit.t -> stats
-(** Mutates the circuit. Raises [Failure] if [verify_global] is set and a
-    pass breaks equivalence (which would indicate a bug).
+(** Mutates the circuit.
 
     Observability (when enabled): counters [engine.candidates],
     [engine.realised], [engine.accepted], [engine.verify_checks],

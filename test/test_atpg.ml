@@ -106,52 +106,6 @@ let test_redundancy_preserves_random () =
       (Eval.equivalent_exhaustive reference fresh)
   done
 
-let test_equiv () =
-  let c = c17 () in
-  let c2 = Bench_format.of_string (Bench_format.to_string c) in
-  (match Equiv.check ~seed:1L c c2 with
-  | Equiv.Equivalent -> ()
-  | Equiv.Counterexample _ | Equiv.Unknown -> Alcotest.fail "c17 = c17");
-  let c3 = Circuit.copy c in
-  let order = Circuit.topo_order c3 in
-  Circuit.set_kind c3 order.(Array.length order - 1) Gate.And;
-  match Equiv.check ~seed:1L c c3 with
-  | Equiv.Counterexample v ->
-    check bool_ "cex differs" true (Eval.run c v <> Eval.run c3 v)
-  | Equiv.Equivalent | Equiv.Unknown -> Alcotest.fail "must find counterexample"
-
-let test_equiv_beyond_simulation () =
-  (* Two structurally different implementations of the same function, where
-     random simulation alone cannot conclude equivalence. *)
-  let majority () =
-    let c = Circuit.create () in
-    let a = Circuit.add_input c in
-    let b = Circuit.add_input c in
-    let d = Circuit.add_input c in
-    let ab = Circuit.add_gate c Gate.And [| a; b |] in
-    let ad = Circuit.add_gate c Gate.And [| a; d |] in
-    let bd = Circuit.add_gate c Gate.And [| b; d |] in
-    let out = Circuit.add_gate c Gate.Or [| ab; ad; bd |] in
-    Circuit.mark_output c out;
-    c
-  in
-  let majority2 () =
-    let c = Circuit.create () in
-    let a = Circuit.add_input c in
-    let b = Circuit.add_input c in
-    let d = Circuit.add_input c in
-    let ab_or = Circuit.add_gate c Gate.Or [| a; b |] in
-    let ab_and = Circuit.add_gate c Gate.And [| a; b |] in
-    let sel = Circuit.add_gate c Gate.And [| ab_or; d |] in
-    let out = Circuit.add_gate c Gate.Or [| ab_and; sel |] in
-    Circuit.mark_output c out;
-    c
-  in
-  match Equiv.check ~sim_patterns:0 ~seed:2L (majority ()) (majority2 ()) with
-  | Equiv.Equivalent -> ()
-  | Equiv.Counterexample _ | Equiv.Unknown ->
-    Alcotest.fail "majority implementations are equivalent"
-
 let suite =
   [
     ("PODEM covers c17", `Quick, test_podem_finds_tests_c17);
@@ -159,6 +113,4 @@ let suite =
     ("PODEM agrees with exhaustive simulation", `Quick, test_podem_agrees_with_exhaustive);
     ("redundancy removal", `Quick, test_redundancy_removal);
     ("redundancy removal preserves function", `Quick, test_redundancy_preserves_random);
-    ("miter equivalence", `Quick, test_equiv);
-    ("miter equivalence via PODEM only", `Quick, test_equiv_beyond_simulation);
   ]

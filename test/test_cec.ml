@@ -107,6 +107,37 @@ let test_constant_equivalent () =
   | Cec.Equivalent -> ()
   | v -> Alcotest.failf "expected equivalent, got %a" Cec.pp_verdict v
 
+let test_majority_equivalent () =
+  (* Two structurally different majority functions: sum of the three pair
+     products against ab + (a + b)d. *)
+  let majority () =
+    let c = Circuit.create () in
+    let a = Circuit.add_input c in
+    let b = Circuit.add_input c in
+    let d = Circuit.add_input c in
+    let ab = Circuit.add_gate c Gate.And [| a; b |] in
+    let ad = Circuit.add_gate c Gate.And [| a; d |] in
+    let bd = Circuit.add_gate c Gate.And [| b; d |] in
+    let out = Circuit.add_gate c Gate.Or [| ab; ad; bd |] in
+    Circuit.mark_output c out;
+    c
+  in
+  let majority2 () =
+    let c = Circuit.create () in
+    let a = Circuit.add_input c in
+    let b = Circuit.add_input c in
+    let d = Circuit.add_input c in
+    let ab_or = Circuit.add_gate c Gate.Or [| a; b |] in
+    let ab_and = Circuit.add_gate c Gate.And [| a; b |] in
+    let sel = Circuit.add_gate c Gate.And [| ab_or; d |] in
+    let out = Circuit.add_gate c Gate.Or [| ab_and; sel |] in
+    Circuit.mark_output c out;
+    c
+  in
+  match Cec.check (majority ()) (majority2 ()) with
+  | Cec.Equivalent -> ()
+  | v -> Alcotest.failf "expected equivalent, got %a" Cec.pp_verdict v
+
 let test_name_matching () =
   (* Same function, inputs declared in a different order: name matching must
      line them up. f = a AND (b OR c). *)
@@ -240,6 +271,34 @@ let test_engine_refuses_unsound () =
   check bool_ "clean run still equivalent" true
     (Eval.equivalent_exhaustive reference c2)
 
+(* [`Full] (the CLI's [--verify]) proves every accepted replacement, and a
+   sound engine has none refused. *)
+let test_engine_full_verify () =
+  let reference =
+    Circuit_gen.generate
+      {
+        Circuit_gen.name = "verify";
+        n_pi = 10;
+        n_po = 6;
+        n_gates = 60;
+        depth = 8;
+        combine_pct = 25;
+        xor_pct = 5;
+        seed = 11L;
+      }
+  in
+  let c = Circuit.copy reference in
+  let stats =
+    Engine.optimize Engine.Gates
+      { Engine.default_options with Engine.k = 4; verify = `Full; domains = 1 }
+      c
+  in
+  check bool_ "some replacement accepted" true (stats.Engine.replacements > 0);
+  check int_ "every replacement proved" stats.Engine.replacements
+    stats.Engine.verify_checks;
+  check int_ "none refused" 0 stats.Engine.verify_refused;
+  check bool_ "final circuit equivalent" true (Eval.equivalent_exhaustive reference c)
+
 (* --- qcheck: agreement with the exhaustive oracle -------------------------- *)
 
 let circuit_of_seed seed =
@@ -283,12 +342,15 @@ let suite =
     Alcotest.test_case "sat pigeonhole + budget" `Quick test_sat_pigeonhole;
     Alcotest.test_case "De Morgan forms equivalent" `Quick test_demorgan_equivalent;
     Alcotest.test_case "constant equivalence" `Quick test_constant_equivalent;
+    Alcotest.test_case "majority forms equivalent" `Quick test_majority_equivalent;
     Alcotest.test_case "input matching by name" `Quick test_name_matching;
     Alcotest.test_case "interface mismatch" `Quick test_interface_mismatch;
     Alcotest.test_case "mutations yield counterexamples" `Quick test_mutations;
     Alcotest.test_case "pool path matches serial" `Quick test_pool_verdicts;
     Alcotest.test_case "engine refuses unsound rewrites" `Quick
       test_engine_refuses_unsound;
+    Alcotest.test_case "full verify proves every replacement" `Quick
+      test_engine_full_verify;
   ]
 
 let qchecks = [ qcheck_matches_exhaustive; qcheck_copy_equivalent ]

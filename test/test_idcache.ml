@@ -304,6 +304,30 @@ let test_engine_warm_start_identity () =
   if warm <> off then Alcotest.fail "warm cached run diverges from cache-off";
   if disk_hits = 0 then Alcotest.fail "warm run never hit the disk store"
 
+(* Every miss is recorded before the next lookup, so a cold run identifies
+   each distinct table once: its miss count is exactly the number of
+   entries it publishes, even when a table recurs within one root's
+   candidate batch. *)
+let test_engine_cold_misses_stored () =
+  let dir = tmpdir () in
+  let c = random_circuit ~n_pi:8 ~n_gates:80 ~n_po:4 5 in
+  Obs.enable ();
+  let m0 = counter "idcache.misses" in
+  ignore
+    (optimize_fingerprint
+       {
+         Engine.default_options with
+         Engine.verify = `Off;
+         domains = 1;
+         cache_dir = Some dir;
+       }
+       c);
+  let misses = counter "idcache.misses" - m0 in
+  Obs.disable ();
+  check bool_ "the run missed" true (misses > 0);
+  check int_ "one miss per stored table" misses
+    (List.length (Id_store.load (Id_store.file ~dir)))
+
 (* --- qcheck ---------------------------------------------------------------- *)
 
 let arb_seed = QCheck.int_range 1 1_000_000
@@ -346,6 +370,8 @@ let suite =
       test_disk_hostile;
     Alcotest.test_case "engine warm start: identical circuits, disk hits" `Slow
       test_engine_warm_start_identity;
+    Alcotest.test_case "cold engine run: one miss per stored table" `Quick
+      test_engine_cold_misses_stored;
   ]
 
 let qchecks = [ prop_store_round_trip ]

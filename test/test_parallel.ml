@@ -20,21 +20,6 @@ let test_pool_map_ordered () =
       let got = Pool.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
       check bool_ "serial pool map" true (got = [| 2; 3; 4 |]))
 
-let test_pool_map_chunks_state () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let input = Array.init 257 (fun i -> i) in
-      let got =
-        Pool.map_chunks pool ~chunk:8
-          ~state:(fun _slot -> Buffer.create 16)
-          ~f:(fun buf _i x ->
-            Buffer.clear buf;
-            Buffer.add_string buf (string_of_int (x * 2));
-            int_of_string (Buffer.contents buf))
-          input
-      in
-      check bool_ "per-slot scratch state" true
-        (got = Array.map (fun x -> x * 2) input))
-
 exception Boom
 
 let test_pool_exception_propagates () =
@@ -173,7 +158,6 @@ let prop_engine_parallel =
 let suite =
   [
     ("pool: ordered map", `Quick, test_pool_map_ordered);
-    ("pool: per-slot state", `Quick, test_pool_map_chunks_state);
     ("pool: exceptions propagate", `Quick, test_pool_exception_propagates);
     ("campaign: de Bruijn lowest_bit", `Quick, test_lowest_bit);
     ("campaign: parallel = serial", `Quick, test_campaign_parallel_identity);
