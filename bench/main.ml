@@ -3,9 +3,11 @@
    Usage: dune exec bench/main.exe [-- OPTIONS]
      --quick        smaller pattern budgets / single K (for CI-style runs)
      --full         paper-scale budgets where feasible
-     --only IDS     comma-separated subset of: figures,table1,table2,table3,
-                    table4,table5,table6,table7,cec,ablations,micro,kernels,
-                    incremental,idcache,sat_atpg
+     --only IDS     comma-separated subset of the section ids; an unknown id
+                    exits 2 with a usage message listing them (the [sections]
+                    registry at the end of this file, in run order)
+     --only-sections IDS
+                    alias of --only
      --only-circuits NAMES
                     comma-separated benchmark filter (e.g. irs1423,irs5378)
                     applied to the per-circuit sections (table2-7, cec);
@@ -26,80 +28,15 @@
                     record begin/end/instant events during the run and
                     write them to FILE as a Chrome trace-event JSON array
                     (chrome://tracing / Perfetto; see DESIGN.md §11)
+   The observability flags share their export with `sft` (Obs.Export.finish).
    Every table prints our measured rows next to the paper's published rows;
    absolute numbers differ (synthetic stand-in circuits, scaled budgets) but
    the qualitative shape is the claim under test. EXPERIMENTS.md records a
    snapshot of this output. *)
 
 let quick = ref false
-let only : string list ref = ref []
 let only_circuits : string list ref = ref []
-let json_file : string option ref = ref None
 let domains = ref (Pool.default_domains ())
-let metrics : string option ref = ref None
-let trace = ref false
-let trace_out : string option ref = ref None
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--full" :: rest ->
-      quick := false;
-      parse rest
-    | "--only" :: ids :: rest | "--only-sections" :: ids :: rest ->
-      only := String.split_on_char ',' ids;
-      parse rest
-    | "--only-circuits" :: names :: rest ->
-      only_circuits := String.split_on_char ',' names;
-      List.iter
-        (fun n ->
-          if not (List.exists (fun e -> e.Benchmarks.name = n) Benchmarks.all)
-          then begin
-            Printf.eprintf "error: unknown benchmark %s (see `sft list`)\n" n;
-            exit 2
-          end)
-        !only_circuits;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_file := Some file;
-      parse rest
-    | "--metrics" :: sink :: rest ->
-      metrics := Some sink;
-      parse rest
-    | "--trace" :: rest ->
-      trace := true;
-      parse rest
-    | "--trace-out" :: file :: rest ->
-      trace_out := Some file;
-      parse rest
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n -> domains := Pool.domains_of_flag n
-      | None ->
-        Printf.eprintf "error: --domains expects an integer, got %s\n" n;
-        exit 2);
-      parse rest
-    | other :: _ ->
-      (* A typo'd flag must not silently fall through to a full-scale run. *)
-      Printf.eprintf
-        "error: unknown argument %s\n\
-         usage: main.exe [--quick|--full] [--only-sections IDS] \
-         [--only-circuits NAMES] [--json FILE] [--domains N] \
-         [--metrics text|json|FILE] [--trace] [--trace-out FILE]\n\
-         (--only is an alias of --only-sections)\n"
-        other;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (* The JSON snapshot always embeds the observability registry, so collect
-     whenever any sink wants it. *)
-  if !metrics <> None || !trace || !json_file <> None then Obs.enable ();
-  if !trace_out <> None then Obs.Trace.enable ()
-
-let enabled id = !only = [] || List.mem id !only
 
 let circuit_enabled e =
   !only_circuits = [] || List.mem e.Benchmarks.name !only_circuits
@@ -120,126 +57,42 @@ let time_wall f =
   let r = f () in
   (r, max 0. (wall () -. t0))
 
-(* --- JSON snapshot accumulators ----------------------------------------- *)
+(* --- JSON snapshot rows -------------------------------------------------- *)
 
-type speedup_row = {
-  sp_kernel : string;
-  sp_circuit : string;
-  sp_domains : int;
-  sp_serial : float;
-  sp_parallel : float;
-  sp_identical : bool;
-}
+(* The snapshot's row tables in file order. Each section appends its rows
+   (JSON objects, keys in schema order) with [add_row]; [write_json]
+   renders every table, empty ones included. *)
+let tables =
+  List.map
+    (fun key -> (key, ref []))
+    [
+      "sections"; "circuits"; "speedups"; "kernels"; "incremental"; "idcache";
+      "cec"; "sat_atpg"; "journal";
+    ]
 
-(* Word-parallel kernels (DESIGN.md §12): baseline = the scalar reference,
-   accelerated = the shipping bit-parallel/cached path, on one domain. *)
-type kernel_row = {
-  kr_kernel : string;
-  kr_baseline_ns : float;
-  kr_accel_ns : float;
-  kr_identical : bool;
-}
+let add_row table fields =
+  let rows = List.assoc table tables in
+  rows := Obs_json.Obj fields :: !rows
 
-(* Incremental resynthesis (DESIGN.md §13): the cost of a second pass on a
-   large synthetic circuit under the full re-enumeration oracle and under
-   the dirty-root worklist, plus the bit-identity checks CI gates on.
-   Times are (median, min, max) wall seconds over repeated runs. *)
-type incr_row = {
-  in_circuit : string;
-  in_domains : int;
-  in_pass2_cuts_full : int;
-  in_pass2_cuts_incr : int;
-  in_reenum_fraction : float;
-  in_pass2_pops_full : int;
-  in_pass2_pops_incr : int;
-  in_pop_fraction : float;
-  in_pass2_full_s : float * float * float;
-  in_pass2_incr_s : float * float * float;
-  in_speedup : float; (* median full / median incremental *)
-  in_identical : bool; (* full = incremental, at domains 1 and --domains *)
-  in_gate_ok : bool; (* identical && pop_fraction < 1 && speedup >= 1 *)
-}
-
-(* Persistent identification cache (DESIGN.md §15): lookup traffic of the
-   same resynthesis run cold (empty store), warm (the store the cold run
-   published) and with the cache off, plus the bit-identity and hit-rate
-   checks CI gates on. *)
-type idc_row = {
-  ic_circuit : string;
-  ic_cold_hits : int;
-  ic_cold_misses : int;
-  ic_warm_hits : int;
-  ic_warm_disk_hits : int;
-  ic_warm_misses : int;
-  ic_cold_hit_rate : float;
-  ic_warm_hit_rate : float;
-  ic_identical : bool; (* off = cold = warm *)
-  ic_gate_ok : bool;
-      (* identical && warm disk hits > 0 && warm misses = 0
-         && warm rate >= cold rate *)
-}
-
-(* SAT-powered ATPG (DESIGN.md §14): how many faults the bounded PODEM
-   search abandons, and how many of those the exact SAT escalation settles
-   (test found or redundancy proved). [sa_escalation_ok] is the CI gate:
-   no fault may remain undecided after escalation. *)
-type sat_atpg_row = {
-  sa_circuit : string;
-  sa_survivors : int;
-  sa_aborted_before : int;
-  sa_sat_tests : int;
-  sa_sat_redundant : int;
-  sa_aborted_after : int;
-  sa_conflict_budget : int;
-  sa_escalation_ok : bool;
-  sa_seconds : float;
-}
-
-(* Decision journal (DESIGN.md §16): the same resynthesis run with and
-   without a journal attached. [jr_identical] is the bit-identity gate
-   (journaling never perturbs results); [jr_gate_ok] additionally requires
-   the journal to load cleanly, record events, and satisfy the decision-
-   funnel invariant. *)
-type journal_row = {
-  jr_circuit : string;
-  jr_events : int;
-  jr_dropped : int;
-  jr_plain_s : float;
-  jr_journal_s : float;
-  jr_overhead_pct : float;
-  jr_identical : bool; (* plain = journaled *)
-  jr_funnel_ok : bool;
-  jr_gate_ok : bool;
-}
-
-let json_sections : (string * string * float) list ref = ref []
-let json_circuits : (string * int * int * int * int) list ref = ref []
-let json_speedups : speedup_row list ref = ref []
-let json_kernels : kernel_row list ref = ref []
-let json_incremental : incr_row list ref = ref []
-let json_idcache : idc_row list ref = ref []
-let json_sat_atpg : sat_atpg_row list ref = ref []
-let json_journal : journal_row list ref = ref []
+(* A float rounded to [digits] decimals, as the snapshot has always
+   recorded it: ratios to 4, nanoseconds to 1, seconds to 6. *)
+let fixed digits x =
+  let scale = 10. ** float_of_int digits in
+  Obs_json.Float (Float.round (x *. scale) /. scale)
 
 let record_circuit name c =
   let row =
-    ( name,
-      Circuit.num_inputs c,
-      Circuit.num_outputs c,
-      Circuit.two_input_gate_count c,
-      try Paths.total c with Paths.Overflow -> -1 )
+    Obs_json.
+      [
+        ("name", String name);
+        ("inputs", Int (Circuit.num_inputs c));
+        ("outputs", Int (Circuit.num_outputs c));
+        ("gates2", Int (Circuit.two_input_gate_count c));
+        ("paths", try Int (Paths.total c) with Paths.Overflow -> Null);
+      ]
   in
-  if not (List.mem row !json_circuits) then json_circuits := row :: !json_circuits
-
-let section id title f =
-  if enabled id then begin
-    Printf.printf "\n################ %s — %s\n%!" id title;
-    let t0 = now () in
-    let w0 = wall () in
-    Obs.Span.with_ ("bench." ^ id) f;
-    json_sections := (id, title, max 0. (wall () -. w0)) :: !json_sections;
-    Printf.printf "[%s done in %.1fs cpu]\n%!" id (now () -. t0)
-  end
+  if not (List.mem (Obs_json.Obj row) !(List.assoc "circuits" tables)) then
+    add_row "circuits" row
 
 (* ------------------------------------------------------------------ *)
 (* Shared circuit versions, computed once per benchmark name.          *)
@@ -707,18 +560,6 @@ let table7 () =
 (* CEC — SAT-proved equivalence of the resynthesised circuits           *)
 (* ------------------------------------------------------------------ *)
 
-type cec_row = {
-  cc_circuit : string;
-  cc_pair : string;
-  cc_verdict : string;
-  cc_outputs : int;
-  cc_decisions : int;
-  cc_conflicts : int;
-  cc_seconds : float;
-}
-
-let json_cec : cec_row list ref = ref []
-
 (* Every table row above compares a resynthesised circuit against its
    original; this section SAT-proves (Cec.check_stats, DESIGN.md §10) that
    each of those pairs really computes the same function, so the size and
@@ -744,17 +585,17 @@ let cec () =
             in
             let vs = Format.asprintf "%a" Cec.pp_verdict verdict in
             let short = if String.length vs > 24 then String.sub vs 0 21 ^ "..." else vs in
-            json_cec :=
-              {
-                cc_circuit = name;
-                cc_pair = pair;
-                cc_verdict = short;
-                cc_outputs = s.Cec.outputs_checked;
-                cc_decisions = s.Cec.decisions;
-                cc_conflicts = s.Cec.conflicts;
-                cc_seconds = secs;
-              }
-              :: !json_cec;
+            add_row "cec"
+              Obs_json.
+                [
+                  ("circuit", String name);
+                  ("pair", String pair);
+                  ("verdict", String short);
+                  ("outputs_solved", Int s.Cec.outputs_checked);
+                  ("decisions", Int s.Cec.decisions);
+                  ("conflicts", Int s.Cec.conflicts);
+                  ("wall_seconds", fixed 6 secs);
+                ];
             Table.add_row t
               [
                 name; pair; short;
@@ -810,19 +651,19 @@ let sat_atpg () =
       in
       let undecided = List.length esc.Sat_atpg.unknown in
       let ok = undecided = 0 in
-      json_sat_atpg :=
-        {
-          sa_circuit = name;
-          sa_survivors = survivors;
-          sa_aborted_before = aborted;
-          sa_sat_tests = List.length esc.Sat_atpg.tests;
-          sa_sat_redundant = List.length esc.Sat_atpg.redundant;
-          sa_aborted_after = undecided;
-          sa_conflict_budget = limits.Limits.sat_conflicts;
-          sa_escalation_ok = ok;
-          sa_seconds = secs;
-        }
-        :: !json_sat_atpg;
+      add_row "sat_atpg"
+        Obs_json.
+          [
+            ("circuit", String name);
+            ("survivors", Int survivors);
+            ("aborted_before", Int aborted);
+            ("sat_tests", Int (List.length esc.Sat_atpg.tests));
+            ("sat_redundant", Int (List.length esc.Sat_atpg.redundant));
+            ("aborted_after", Int undecided);
+            ("conflict_budget", Int limits.Limits.sat_conflicts);
+            ("escalation_ok", Bool ok);
+            ("wall_seconds", fixed 6 secs);
+          ];
       Table.add_row t
         [
           name; Table.int survivors; Table.int aborted;
@@ -969,6 +810,20 @@ let ablations () =
 (* Bechamel micro-benchmarks: one kernel per table/figure               *)
 (* ------------------------------------------------------------------ *)
 
+(* The 130-gate circuit the micro, speedup and kernel rows share. *)
+let micro_circuit () =
+  Circuit_gen.generate
+    {
+      Circuit_gen.name = "micro";
+      n_pi = 24;
+      n_po = 16;
+      n_gates = 130;
+      depth = 10;
+      combine_pct = 25;
+      xor_pct = 4;
+      seed = 99L;
+    }
+
 let rec micro () =
   let open Bechamel in
   let c17 = Benchmarks.c17 () in
@@ -976,19 +831,7 @@ let rec micro () =
     { Comparison_fn.perm = [| 4; 3; 1; 2 |]; lo = 5; hi = 10; complemented = false }
   in
   let f2 = Truthtable.of_minterms 4 [ 1; 5; 6; 9; 10; 14 ] in
-  let small =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro";
-        n_pi = 24;
-        n_po = 16;
-        n_gates = 130;
-        depth = 10;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 99L;
-      }
-  in
+  let small = micro_circuit () in
   let cmp = Compiled.of_circuit small in
   let sim = Fsim.create cmp in
   let rng = Rng.create 3L in
@@ -1063,12 +906,22 @@ and parallel_speedups () =
   let nd = !domains in
   Printf.printf "\nparallel kernels: 1 domain vs %d domains (recommended %d)\n" nd
     (Domain.recommended_domain_count ());
-  let report row =
-    json_speedups := row :: !json_speedups;
+  let report kernel circuit serial parallel identical =
+    let speedup = if parallel > 0. then serial /. parallel else 0. in
+    add_row "speedups"
+      Obs_json.
+        [
+          ("kernel", String kernel);
+          ("circuit", String circuit);
+          ("domains", Int nd);
+          ("serial_seconds", fixed 6 serial);
+          ("parallel_seconds", fixed 6 parallel);
+          ("speedup", fixed 4 speedup);
+          ("identical_results", Bool identical);
+        ];
     Printf.printf "%-28s %-10s serial %8.3fs  parallel %8.3fs  speedup %5.2fx  %s\n%!"
-      row.sp_kernel row.sp_circuit row.sp_serial row.sp_parallel
-      (if row.sp_parallel > 0. then row.sp_serial /. row.sp_parallel else 0.)
-      (if row.sp_identical then "bit-identical" else "RESULTS DIFFER (bug!)")
+      kernel circuit serial parallel speedup
+      (if identical then "bit-identical" else "RESULTS DIFFER (bug!)")
   in
   (* Fault-simulation campaign: shard the fault list. *)
   let par_circuit =
@@ -1089,29 +942,9 @@ and parallel_speedups () =
   let fsim_cfg d = { Campaign.default with max_patterns = budget; domains = d; seed = 7L } in
   let r1, t1 = time_wall (fun () -> Campaign.exec (fsim_cfg 1) par_circuit) in
   let rn, tn = time_wall (fun () -> Campaign.exec (fsim_cfg nd) par_circuit) in
-  report
-    {
-      sp_kernel = "fault_sim_campaign";
-      sp_circuit = "micro-par";
-      sp_domains = nd;
-      sp_serial = t1;
-      sp_parallel = tn;
-      sp_identical = r1 = rn;
-    };
+  report "fault_sim_campaign" "micro-par" t1 tn (r1 = rn);
   (* Robust PDF campaign: fan out the wave simulations. *)
-  let small =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro";
-        n_pi = 24;
-        n_po = 16;
-        n_gates = 130;
-        depth = 10;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 99L;
-      }
-  in
+  let small = micro_circuit () in
   record_circuit "micro" small;
   let pairs = if !quick then 2_000 else 20_000 in
   let pdf_cfg d =
@@ -1119,15 +952,7 @@ and parallel_speedups () =
   in
   let p1, tp1 = time_wall (fun () -> Pdf_campaign.exec (pdf_cfg 1) small) in
   let pn, tpn = time_wall (fun () -> Pdf_campaign.exec (pdf_cfg nd) small) in
-  report
-    {
-      sp_kernel = "pdf_campaign";
-      sp_circuit = "micro";
-      sp_domains = nd;
-      sp_serial = tp1;
-      sp_parallel = tpn;
-      sp_identical = p1 = pn;
-    }
+  report "pdf_campaign" "micro" tp1 tpn (p1 = pn)
 
 (* ------------------------------------------------------------------ *)
 (* Word-parallel kernels: the candidate-evaluation hot paths measured   *)
@@ -1135,26 +960,24 @@ and parallel_speedups () =
 (* ------------------------------------------------------------------ *)
 
 let kernels () =
-  let report row =
-    json_kernels := row :: !json_kernels;
+  (* Baseline = the scalar reference, accelerated = the shipping
+     bit-parallel/cached path, on one domain. *)
+  let report kernel baseline_ns accel_ns identical =
+    let speedup = if accel_ns > 0. then baseline_ns /. accel_ns else 0. in
+    add_row "kernels"
+      Obs_json.
+        [
+          ("kernel", String kernel);
+          ("baseline_ns", fixed 1 baseline_ns);
+          ("accelerated_ns", fixed 1 accel_ns);
+          ("speedup", fixed 4 speedup);
+          ("identical_results", Bool identical);
+        ];
     Printf.printf "%-28s scalar %10.1f ns/call  word %10.1f ns/call  speedup %5.2fx  %s\n%!"
-      row.kr_kernel row.kr_baseline_ns row.kr_accel_ns
-      (if row.kr_accel_ns > 0. then row.kr_baseline_ns /. row.kr_accel_ns else 0.)
-      (if row.kr_identical then "bit-identical" else "RESULTS DIFFER (bug!)")
+      kernel baseline_ns accel_ns speedup
+      (if identical then "bit-identical" else "RESULTS DIFFER (bug!)")
   in
-  let small =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro";
-        n_pi = 24;
-        n_po = 16;
-        n_gates = 130;
-        depth = 10;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 99L;
-      }
-  in
+  let small = micro_circuit () in
   record_circuit "micro" small;
   (* Every K=6 candidate cone of the micro circuit, the same workload the
      resynthesis inner loop sees. *)
@@ -1185,15 +1008,9 @@ let kernels () =
           Array.iter (fun s -> ignore (Subcircuit.extract ~scratch small s)) subs
         done)
   in
-  report
-    {
-      kr_kernel = "subcircuit_extract_k6";
-      kr_baseline_ns = per_call t_scalar;
-      kr_accel_ns = per_call t_word;
-      kr_identical =
-        (try Array.for_all2 Truthtable.equal scalar_tts word_tts
-         with Invalid_argument _ -> false);
-    };
+  report "subcircuit_extract_k6" (per_call t_scalar) (per_call t_word)
+    (try Array.for_all2 Truthtable.equal scalar_tts word_tts
+     with Invalid_argument _ -> false);
   (* Identification over the same cone functions: every call computed from
      scratch vs the engine's run-scoped {!Idcache} (first encounter
      computes, repeats hit — the steady state of a multi-pass optimisation
@@ -1222,13 +1039,8 @@ let kernels () =
           Array.iter (fun tt -> ignore (cached_identify tt)) word_tts
         done)
   in
-  report
-    {
-      kr_kernel = "identify_exact_cached";
-      kr_baseline_ns = per_call t_plain;
-      kr_accel_ns = per_call t_cached;
-      kr_identical = verdicts_plain = verdicts_cached;
-    }
+  report "identify_exact_cached" (per_call t_plain) (per_call t_cached)
+    (verdicts_plain = verdicts_cached)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental resynthesis: second-pass cost on a large synthetic       *)
@@ -1347,37 +1159,41 @@ let incremental () =
   let ratio num den = if den <= 0 then 1. else float_of_int num /. float_of_int den in
   let pass2_cuts_full = cuts2f - cuts1f and pass2_cuts_incr = cuts2i - cuts1i in
   let pass2_pops_full = pops2f - pops1f and pass2_pops_incr = pops2i - pops1i in
+  let reenum_fraction = ratio pass2_cuts_incr pass2_cuts_full in
   let pop_fraction = ratio pass2_pops_incr pass2_pops_full in
   let speedup = if incr_med <= 0. then 0. else full_med /. incr_med in
+  (* full = incremental, at domains 1 and --domains *)
   let identical =
     List.for_all (fun s -> s = sf) [ si; sfp; sip ]
     && List.for_all (fun n -> n = nf) [ ni; nfp; nip ]
   in
-  let row =
-    {
-      in_circuit = "incr-large";
-      in_domains = !domains;
-      in_pass2_cuts_full = pass2_cuts_full;
-      in_pass2_cuts_incr = pass2_cuts_incr;
-      in_reenum_fraction = ratio pass2_cuts_incr pass2_cuts_full;
-      in_pass2_pops_full = pass2_pops_full;
-      in_pass2_pops_incr = pass2_pops_incr;
-      in_pop_fraction = pop_fraction;
-      in_pass2_full_s = full_s;
-      in_pass2_incr_s = incr_s;
-      in_speedup = speedup;
-      in_identical = identical;
-      in_gate_ok = identical && pop_fraction < 1. && speedup >= 1.;
-    }
+  let spread (med, lo, hi) =
+    Obs_json.Obj [ ("median", fixed 6 med); ("min", fixed 6 lo); ("max", fixed 6 hi) ]
   in
-  json_incremental := row :: !json_incremental;
+  add_row "incremental"
+    Obs_json.
+      [
+        ("circuit", String "incr-large");
+        ("domains", Int !domains);
+        ("pass2_cuts_full", Int pass2_cuts_full);
+        ("pass2_cuts_incremental", Int pass2_cuts_incr);
+        ("reenum_fraction", fixed 4 reenum_fraction);
+        ("pass2_pops_full", Int pass2_pops_full);
+        ("pass2_pops_incremental", Int pass2_pops_incr);
+        ("pop_fraction", fixed 4 pop_fraction);
+        ("repetitions", Int incr_reps);
+        ("pass2_full_seconds", spread full_s);
+        ("pass2_incremental_seconds", spread incr_s);
+        ("speedup", fixed 4 speedup);
+        ("identical_results", Bool identical);
+        ("gate_ok", Bool (identical && pop_fraction < 1. && speedup >= 1.));
+      ];
   let pp_s (med, lo, hi) = Printf.sprintf "%.4fs [%.4f, %.4f]" med lo hi in
-  Printf.printf "incremental resynthesis on %s (%d two-input gates, %d replacements in pass 1)\n"
-    row.in_circuit
+  Printf.printf "incremental resynthesis on incr-large (%d two-input gates, %d replacements in pass 1)\n"
     (Circuit.two_input_gate_count base)
     s1f.Engine.replacements;
   Printf.printf "  pass-2 cuts   full %8d   incremental %8d   (%.1f%% re-enumerated)\n"
-    pass2_cuts_full pass2_cuts_incr (100. *. row.in_reenum_fraction);
+    pass2_cuts_full pass2_cuts_incr (100. *. reenum_fraction);
   Printf.printf "  pass-2 pops   full %8d   incremental %8d   (%.1f%% popped)\n"
     pass2_pops_full pass2_pops_incr (100. *. pop_fraction);
   Printf.printf
@@ -1463,24 +1279,21 @@ let idcache () =
   (* The warm run replays the same lookups against the store the cold run
      published, so every one of them must hit. *)
   let identical = s_off = s_cold && s_off = s_warm && n_off = n_cold && n_off = n_warm in
-  let row =
-    {
-      ic_circuit = "idc-large";
-      ic_cold_hits = ch;
-      ic_cold_misses = cm;
-      ic_warm_hits = wh;
-      ic_warm_disk_hits = wd;
-      ic_warm_misses = wm;
-      ic_cold_hit_rate = cold_rate;
-      ic_warm_hit_rate = warm_rate;
-      ic_identical = identical;
-      ic_gate_ok =
-        identical && wd > 0 && wm = 0 && warm_rate >= cold_rate;
-    }
-  in
-  json_idcache := row :: !json_idcache;
-  Printf.printf "persistent identification cache on %s (%d two-input gates, store %s)\n"
-    row.ic_circuit
+  add_row "idcache"
+    Obs_json.
+      [
+        ("circuit", String "idc-large");
+        ("cold_hits", Int ch);
+        ("cold_misses", Int cm);
+        ("warm_hits", Int wh);
+        ("warm_disk_hits", Int wd);
+        ("warm_misses", Int wm);
+        ("cold_hit_rate", fixed 4 cold_rate);
+        ("warm_hit_rate", fixed 4 warm_rate);
+        ("identical_results", Bool identical);
+        ("gate_ok", Bool (identical && wd > 0 && wm = 0 && warm_rate >= cold_rate));
+      ];
+  Printf.printf "persistent identification cache on idc-large (%d two-input gates, store %s)\n"
     (Circuit.two_input_gate_count base)
     store_dir;
   Printf.printf "  cold   hits %8d   misses %8d   (hit rate %.1f%%)\n" ch cm
@@ -1550,21 +1363,20 @@ let journal () =
   let overhead =
     if t_plain > 0. then 100. *. ((t_j -. t_plain) /. t_plain) else 0.
   in
-  let row =
-    {
-      jr_circuit = "jr-large";
-      jr_events = events;
-      jr_dropped = dropped;
-      jr_plain_s = t_plain;
-      jr_journal_s = t_j;
-      jr_overhead_pct = overhead;
-      jr_identical = identical;
-      jr_funnel_ok = funnel_ok;
-      jr_gate_ok = identical && funnel_ok && events > 0 && w.Obs.Journal.dropped = 0;
-    }
-  in
-  json_journal := row :: !json_journal;
-  Printf.printf "decision journal on %s (%d two-input gates)\n" row.jr_circuit
+  add_row "journal"
+    Obs_json.
+      [
+        ("circuit", String "jr-large");
+        ("events", Int events);
+        ("dropped", Int dropped);
+        ("plain_seconds", fixed 6 t_plain);
+        ("journal_seconds", fixed 6 t_j);
+        ("overhead_pct", fixed 2 overhead);
+        ("funnel_ok", Bool funnel_ok);
+        ("identical_results", Bool identical);
+        ("gate_ok", Bool (identical && funnel_ok && events > 0 && w.Obs.Journal.dropped = 0));
+      ];
+  Printf.printf "decision journal on jr-large (%d two-input gates)\n"
     (Circuit.two_input_gate_count base);
   Printf.printf "  plain    %7.3fs   journaled %7.3fs   (overhead %+.1f%%)\n"
     t_plain t_j overhead;
@@ -1577,217 +1389,174 @@ let journal () =
 (* "Parallel execution" section.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Written with [Obs_json], one top-level member and one row per line, so
+   a regenerated baseline diffs line by line. *)
 let write_json file =
-  let b = Buffer.create 4096 in
-  let item first s = (if not first then Buffer.add_string b ",\n"); Buffer.add_string b s in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Buffer.add_string b "  \"generator\": \"sft bench harness\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if !quick then "quick" else "full"));
-  Buffer.add_string b (Printf.sprintf "  \"domains\": %d,\n" !domains);
-  (* Record the --only-circuits scope so a committed snapshot says which
-     benchmarks it covers; null means the unrestricted circuit set. *)
-  Buffer.add_string b
-    (match !only_circuits with
-    | [] -> "  \"only_circuits\": null,\n"
-    | names ->
-      Printf.sprintf "  \"only_circuits\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) names)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string b "  \"sections\": [\n";
-  List.iteri
-    (fun i (id, title, secs) ->
-      item (i = 0)
-        (Printf.sprintf "    {\"id\": \"%s\", \"title\": \"%s\", \"wall_seconds\": %.6f}"
-           (json_escape id) (json_escape title) secs))
-    (List.rev !json_sections);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"circuits\": [\n";
-  List.iteri
-    (fun i (name, pis, pos, gates2, paths) ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"inputs\": %d, \"outputs\": %d, \"gates2\": %d, \
-            \"paths\": %s}"
-           (json_escape name) pis pos gates2
-           (if paths < 0 then "null" else string_of_int paths)))
-    (List.rev !json_circuits);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"speedups\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"circuit\": \"%s\", \"domains\": %d, \
-            \"serial_seconds\": %.6f, \"parallel_seconds\": %.6f, \"speedup\": %.4f, \
-            \"identical_results\": %b}"
-           (json_escape r.sp_kernel) (json_escape r.sp_circuit) r.sp_domains
-           r.sp_serial r.sp_parallel
-           (if r.sp_parallel > 0. then r.sp_serial /. r.sp_parallel else 0.)
-           r.sp_identical))
-    (List.rev !json_speedups);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"baseline_ns\": %.1f, \"accelerated_ns\": %.1f, \
-            \"speedup\": %.4f, \"identical_results\": %b}"
-           (json_escape r.kr_kernel) r.kr_baseline_ns r.kr_accel_ns
-           (if r.kr_accel_ns > 0. then r.kr_baseline_ns /. r.kr_accel_ns else 0.)
-           r.kr_identical))
-    (List.rev !json_kernels);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"incremental\": [\n";
-  let spread (med, lo, hi) =
-    Printf.sprintf "{\"median\": %.6f, \"min\": %.6f, \"max\": %.6f}" med lo hi
-  in
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"domains\": %d, \"pass2_cuts_full\": %d, \
-            \"pass2_cuts_incremental\": %d, \"reenum_fraction\": %.4f, \
-            \"pass2_pops_full\": %d, \"pass2_pops_incremental\": %d, \
-            \"pop_fraction\": %.4f, \"repetitions\": %d, \
-            \"pass2_full_seconds\": %s, \"pass2_incremental_seconds\": %s, \
-            \"speedup\": %.4f, \"identical_results\": %b, \"gate_ok\": %b}"
-           (json_escape r.in_circuit) r.in_domains r.in_pass2_cuts_full
-           r.in_pass2_cuts_incr r.in_reenum_fraction r.in_pass2_pops_full
-           r.in_pass2_pops_incr r.in_pop_fraction incr_reps
-           (spread r.in_pass2_full_s) (spread r.in_pass2_incr_s) r.in_speedup
-           r.in_identical r.in_gate_ok))
-    (List.rev !json_incremental);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"idcache\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"cold_hits\": %d, \"cold_misses\": %d, \
-            \"warm_hits\": %d, \"warm_disk_hits\": %d, \"warm_misses\": %d, \
-            \"cold_hit_rate\": %.4f, \"warm_hit_rate\": %.4f, \
-            \"identical_results\": %b, \"gate_ok\": %b}"
-           (json_escape r.ic_circuit) r.ic_cold_hits r.ic_cold_misses r.ic_warm_hits
-           r.ic_warm_disk_hits r.ic_warm_misses r.ic_cold_hit_rate r.ic_warm_hit_rate
-           r.ic_identical r.ic_gate_ok))
-    (List.rev !json_idcache);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"cec\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"pair\": \"%s\", \"verdict\": \"%s\", \
-            \"outputs_solved\": %d, \"decisions\": %d, \"conflicts\": %d, \
-            \"wall_seconds\": %.6f}"
-           (json_escape r.cc_circuit) (json_escape r.cc_pair)
-           (json_escape r.cc_verdict) r.cc_outputs r.cc_decisions r.cc_conflicts
-           r.cc_seconds))
-    (List.rev !json_cec);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"sat_atpg\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"survivors\": %d, \"aborted_before\": %d, \
-            \"sat_tests\": %d, \"sat_redundant\": %d, \"aborted_after\": %d, \
-            \"conflict_budget\": %d, \"escalation_ok\": %b, \"wall_seconds\": %.6f}"
-           (json_escape r.sa_circuit) r.sa_survivors r.sa_aborted_before
-           r.sa_sat_tests r.sa_sat_redundant r.sa_aborted_after
-           r.sa_conflict_budget r.sa_escalation_ok r.sa_seconds))
-    (List.rev !json_sat_atpg);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"journal\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"events\": %d, \"dropped\": %d, \
-            \"plain_seconds\": %.6f, \"journal_seconds\": %.6f, \
-            \"overhead_pct\": %.2f, \"funnel_ok\": %b, \
-            \"identical_results\": %b, \"gate_ok\": %b}"
-           (json_escape r.jr_circuit) r.jr_events r.jr_dropped r.jr_plain_s
-           r.jr_journal_s r.jr_overhead_pct r.jr_funnel_ok r.jr_identical
-           r.jr_gate_ok))
-    (List.rev !json_journal);
-  Buffer.add_string b "\n  ],\n";
-  (* Schema v2: a summary of the event-tracing buffers, so a snapshot
-     records whether its trace (if any) was complete or lossy. *)
   let ts = Obs.Trace.stats () in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"trace_events\": {\"enabled\": %b, \"rings\": %d, \"recorded\": %d, \
-        \"dropped\": %d},\n"
-       (Obs.Trace.enabled ()) ts.Obs.Trace.rings ts.Obs.Trace.recorded
-       ts.Obs.Trace.dropped);
-  (* The observability registry (counters, histograms, span trace) rides
-     along in the snapshot; schema in DESIGN.md §9. *)
-  Buffer.add_string b (Printf.sprintf "  \"metrics\": %s\n}\n" (Obs.Export.to_json ()));
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  let members =
+    Obs_json.(
+      [
+        ("schema_version", Int 2);
+        ("generator", String "sft bench harness");
+        ("mode", String (if !quick then "quick" else "full"));
+        ("domains", Int !domains);
+        (* The --only-circuits scope, so a committed snapshot says which
+           benchmarks it covers; null means the unrestricted circuit set. *)
+        ( "only_circuits",
+          if !only_circuits = [] then Null
+          else List (List.map (fun n -> String n) !only_circuits) );
+        ("recommended_domains", Int (Domain.recommended_domain_count ()));
+      ]
+      @ List.map (fun (key, rows) -> (key, List (List.rev !rows))) tables
+      @ [
+          (* Whether the snapshot's trace (if any) was complete or lossy. *)
+          ( "trace_events",
+            Obj
+              [
+                ("enabled", Bool (Obs.Trace.enabled ()));
+                ("rings", Int ts.Obs.Trace.rings);
+                ("recorded", Int ts.Obs.Trace.recorded);
+                ("dropped", Int ts.Obs.Trace.dropped);
+              ] );
+          (* The observability registry, schema in DESIGN.md §9. *)
+          ("metrics", Obs.Export.to_json_value ());
+        ])
+  in
+  let member (key, v) =
+    Printf.sprintf "  %s: %s"
+      (Obs_json.to_string (Obs_json.String key))
+      (match v with
+      | Obs_json.List (_ :: _ as rows) ->
+        "[\n    " ^ String.concat ",\n    " (List.map Obs_json.to_string rows) ^ "\n  ]"
+      | v -> Obs_json.to_string v)
+  in
+  Out_channel.with_open_bin file (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.map member members)));
   Printf.printf "\nwrote %s\n" file
 
+(* ------------------------------------------------------------------ *)
+(* The section registry, in run order: --only validates against it,   *)
+(* the usage message lists it, and the main loop runs it.              *)
+(* ------------------------------------------------------------------ *)
+
+type section = { id : string; title : string; run : unit -> unit }
+
+let sections =
+  [
+    { id = "figures"; title = "comparison-unit structures (Figures 1-6)"; run = figures };
+    { id = "table1"; title = "robust test set of a comparison unit"; run = table1 };
+    { id = "table2"; title = "Procedure 2: gates and paths"; run = table2 };
+    { id = "table3"; title = "RAR baseline comparison"; run = table3 };
+    { id = "table4"; title = "technology mapping"; run = table4 };
+    { id = "table5"; title = "Procedure 3: path minimisation"; run = table5 };
+    { id = "table6"; title = "random-pattern stuck-at testability"; run = table6 };
+    { id = "table7"; title = "robust PDF random-pattern campaigns"; run = table7 };
+    { id = "cec"; title = "SAT equivalence proofs of the resynthesised circuits"; run = cec };
+    { id = "ablations"; title = "design-choice ablations"; run = ablations };
+    { id = "micro"; title = "Bechamel micro-benchmarks"; run = micro };
+    { id = "kernels"; title = "word-parallel kernels vs scalar baselines"; run = kernels };
+    {
+      id = "incremental";
+      title = "incremental resynthesis vs full re-enumeration";
+      run = incremental;
+    };
+    {
+      id = "idcache";
+      title = "persistent identification cache: cold vs warm vs off";
+      run = idcache;
+    };
+    { id = "sat_atpg"; title = "SAT escalation of PODEM-aborted faults"; run = sat_atpg };
+    { id = "journal"; title = "decision journal: overhead and bit-identity"; run = journal };
+  ]
+
+let run_section s =
+  Printf.printf "\n################ %s — %s\n%!" s.id s.title;
+  let t0 = now () in
+  let w0 = wall () in
+  Obs.Span.with_ ("bench." ^ s.id) s.run;
+  add_row "sections"
+    Obs_json.
+      [
+        ("id", String s.id);
+        ("title", String s.title);
+        ("wall_seconds", fixed 6 (max 0. (wall () -. w0)));
+      ];
+  Printf.printf "[%s done in %.1fs cpu]\n%!" s.id (now () -. t0)
+
+let usage =
+  Printf.sprintf
+    "usage: main.exe [--quick|--full] [--only-sections IDS] [--only-circuits NAMES] \
+     [--json FILE] [--domains N] [--metrics text|json|FILE] [--trace] \
+     [--trace-out FILE]\n\
+     (--only is an alias of --only-sections; IDS is a comma-separated subset of\n\
+     %s)\n"
+    (String.concat "," (List.map (fun s -> s.id) sections))
+
 let () =
+  let only = ref [] and json_file = ref None in
+  let obs = ref { Obs.Export.metrics = None; trace = false; trace_out = None } in
+  let usage_error fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "error: %s\n%s" msg usage;
+        exit 2)
+      fmt
+  in
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      parse rest
+    | "--full" :: rest ->
+      quick := false;
+      parse rest
+    | ("--only" | "--only-sections") :: ids :: rest ->
+      only := String.split_on_char ',' ids;
+      List.iter
+        (fun id ->
+          if not (List.exists (fun s -> s.id = id) sections) then
+            usage_error "unknown section %s" id)
+        !only;
+      parse rest
+    | "--only-circuits" :: names :: rest ->
+      only_circuits := String.split_on_char ',' names;
+      List.iter
+        (fun n ->
+          if not (List.exists (fun e -> e.Benchmarks.name = n) Benchmarks.all) then
+            usage_error "unknown benchmark %s (see `sft list`)" n)
+        !only_circuits;
+      parse rest
+    | "--json" :: file :: rest ->
+      json_file := Some file;
+      parse rest
+    | "--metrics" :: sink :: rest ->
+      obs := { !obs with metrics = Some (Obs.Export.sink_of_string sink) };
+      parse rest
+    | "--trace" :: rest ->
+      obs := { !obs with trace = true };
+      parse rest
+    | "--trace-out" :: file :: rest ->
+      obs := { !obs with trace_out = Some file };
+      parse rest
+    | "--domains" :: n :: rest ->
+      (match int_of_string_opt n with
+      | Some n -> domains := Pool.domains_of_flag n
+      | None -> usage_error "--domains expects an integer, got %s" n);
+      parse rest
+    (* A typo'd flag must not silently fall through to a full-scale run. *)
+    | other :: _ -> usage_error "unknown argument %s" other
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  Obs.Export.start !obs;
+  (* The JSON snapshot always embeds the observability registry. *)
+  if !json_file <> None then Obs.enable ();
   Printf.printf "sft bench harness (%s mode)\n" (if !quick then "quick" else "full");
-  section "figures" "comparison-unit structures (Figures 1-6)" figures;
-  section "table1" "robust test set of a comparison unit" table1;
-  section "table2" "Procedure 2: gates and paths" table2;
-  section "table3" "RAR baseline comparison" table3;
-  section "table4" "technology mapping" table4;
-  section "table5" "Procedure 3: path minimisation" table5;
-  section "table6" "random-pattern stuck-at testability" table6;
-  section "table7" "robust PDF random-pattern campaigns" table7;
-  section "cec" "SAT equivalence proofs of the resynthesised circuits" cec;
-  section "ablations" "design-choice ablations" ablations;
-  section "micro" "Bechamel micro-benchmarks" micro;
-  section "kernels" "word-parallel kernels vs scalar baselines" kernels;
-  section "incremental" "incremental resynthesis vs full re-enumeration" incremental;
-  section "idcache" "persistent identification cache: cold vs warm vs off" idcache;
-  section "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg;
-  section "journal" "decision journal: overhead and bit-identity" journal;
-  (match !json_file with
-  | None -> ()
-  | Some file -> (
-    try write_json file
-    with Sys_error msg ->
-      Printf.eprintf "error: could not write %s: %s\n" file msg;
-      exit 1));
-  (match !trace_out with
-  | None -> ()
-  | Some file -> (
-    try
-      Obs.Trace.write_file file;
-      let s = Obs.Trace.stats () in
-      Printf.printf "wrote %s (%d events, %d dropped)\n" file s.Obs.Trace.recorded
-        s.Obs.Trace.dropped
-    with Sys_error msg ->
-      Printf.eprintf "error: could not write %s: %s\n" file msg;
-      exit 1));
-  if !trace then prerr_string (Obs.Export.trace_text ());
-  match !metrics with
-  | None -> ()
-  | Some "text" -> print_string (Obs.Export.to_text ())
-  | Some "json" -> print_endline (Obs.Export.to_json ())
-  | Some path -> Obs.Export.write_file path
+  List.iter
+    (fun s -> if !only = [] || List.mem s.id !only then run_section s)
+    sections;
+  try
+    Option.iter write_json !json_file;
+    Obs.Export.finish ~prog:"bench" !obs
+  with Sys_error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1

@@ -66,12 +66,6 @@ let domains_arg =
 
 (* --- observability plumbing ---------------------------------------------- *)
 
-type metrics =
-  | MNone
-  | MText
-  | MJson
-  | MFile of string
-
 let metrics_arg =
   Arg.(
     value
@@ -113,23 +107,27 @@ let journal_arg =
            $(b,sft report). Implies metrics collection; results are \
            bit-identical with or without a journal.")
 
-(* [with_obs ~cmd metrics trace trace_out body] runs [body ppf] with
+(* The observability flags of a subcommand: --metrics, --trace and
+   --trace-out, plus --journal where [journal] says the command offers it
+   (elsewhere the journal is always [None]). *)
+let obs_term ~journal =
+  let request metrics trace trace_out journal =
+    ( { Obs.Export.metrics = Option.map Obs.Export.sink_of_string metrics; trace; trace_out },
+      journal )
+  in
+  Term.(
+    const request $ metrics_arg $ trace_arg $ trace_out_arg
+    $ if journal then journal_arg else const None)
+
+(* [with_obs ~cmd (request, journal) body] runs [body ppf] with
    observability enabled as requested and exports the registry afterwards
    (also on failure, so an interrupted run still reports what it measured).
-   [journal], where a command offers it, opens an [Obs.Journal] destined for
-   the given file and tagged with [cmd]; journaling needs the funnel
-   counters, so it switches metrics collection on too. [ppf] is where the
-   command's human-readable output goes: stderr when stdout carries JSON. *)
-let with_obs ?journal ~cmd metrics trace trace_out body =
-  let metrics =
-    match metrics with
-    | None -> MNone
-    | Some "text" -> MText
-    | Some "json" -> MJson
-    | Some path -> MFile path
-  in
-  if metrics <> MNone || trace then Obs.enable ();
-  if trace_out <> None then Obs.Trace.enable ();
+   [journal] opens an [Obs.Journal] destined for the given file and tagged
+   with [cmd]; journaling needs the funnel counters, so it switches metrics
+   collection on too. [ppf] is where the command's human-readable output
+   goes: stderr when stdout carries JSON. *)
+let with_obs ~cmd (request, journal) body =
+  Obs.Export.start request;
   (match journal with
   | Some path ->
     Obs.enable ();
@@ -138,7 +136,10 @@ let with_obs ?journal ~cmd metrics trace trace_out body =
        run-relative delta, not process-lifetime totals. *)
     Obs.Runtime.sample ()
   | None -> ());
-  let ppf = if metrics = MJson then Format.err_formatter else Format.std_formatter in
+  let ppf =
+    if request.Obs.Export.metrics = Some Obs.Export.Json then Format.err_formatter
+    else Format.std_formatter
+  in
   Fun.protect
     ~finally:(fun () ->
       Format.pp_print_flush ppf ();
@@ -150,30 +151,16 @@ let with_obs ?journal ~cmd metrics trace trace_out body =
           Printf.eprintf "sft: journal %s: %d event(s) dropped (buffers full)\n"
             path s.Obs.Journal.dropped
       | None -> ());
-      (* [Obs.Export.to_text] ends with the span tree: print it here only
-         when the --metrics text dump below does not. *)
-      if trace && metrics <> MText then prerr_string (Obs.Export.trace_text ());
-      (match trace_out with
-      | Some path ->
-        Obs.Trace.write_file path;
-        let s = Obs.Trace.stats () in
-        if s.Obs.Trace.dropped > 0 then
-          Printf.eprintf "sft: trace %s: %d event(s) dropped (buffers full)\n"
-            path s.Obs.Trace.dropped
-      | None -> ());
-      match metrics with
-      | MNone -> ()
-      | MText -> print_string (Obs.Export.to_text ())
-      | MJson -> print_endline (Obs.Export.to_json ())
-      | MFile path -> Obs.Export.write_file path)
+      Obs.Export.finish ~prog:"sft" request)
     (fun () -> body ppf)
 
-let save ppf output c =
-  match output with
-  | Some path ->
-    Bench_format.write_file path c;
-    Format.fprintf ppf "wrote %s@." path
-  | None -> ()
+(* Write [c] to [output] before [report] prints anything: once a reader
+   such as `head -1` has closed stdout, the next print raises SIGPIPE, and
+   that must not cost the file. *)
+let save ppf output c report =
+  Option.iter (fun path -> Bench_format.write_file path c) output;
+  report ();
+  Option.iter (Format.fprintf ppf "wrote %s@.") output
 
 let print_stats ppf c =
   let paths = try Table.int (Paths.total c) with Paths.Overflow -> "overflow" in
@@ -187,13 +174,13 @@ let print_stats ppf c =
 (* --- stats ---------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run file bench metrics trace trace_out =
-    with_obs ~cmd:"stats" metrics trace trace_out (fun ppf ->
+  let run obs file bench =
+    with_obs ~cmd:"stats" obs (fun ppf ->
         let c = load ~file ~bench in
         print_stats ppf c)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print circuit statistics (Procedure 1 path count included).")
-    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ obs_term ~journal:false $ file_arg $ bench_arg)
 
 (* --- list ----------------------------------------------------------------- *)
 
@@ -222,14 +209,13 @@ let list_cmd =
 (* --- gen ------------------------------------------------------------------ *)
 
 let gen_cmd =
-  let run name raw output metrics trace trace_out =
-    with_obs ~cmd:"gen" metrics trace trace_out (fun ppf ->
+  let run obs name raw output =
+    with_obs ~cmd:"gen" obs (fun ppf ->
         let e = Benchmarks.find name in
         let c =
           if raw then Circuit_gen.generate e.Benchmarks.profile else Benchmarks.build e
         in
-        print_stats ppf c;
-        save ppf output c)
+        save ppf output c (fun () -> print_stats ppf c))
   in
   let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
   let raw =
@@ -237,15 +223,14 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a benchmark stand-in and optionally write it out.")
-    Term.(const run $ name_arg $ raw $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ obs_term ~journal:false $ name_arg $ raw $ output_arg)
 
 (* --- optimize ------------------------------------------------------------- *)
 
 let optimize_cmd =
-  let run file bench objective k engine budget no_merge verify dontcares units
-      no_id_cache cache_dir no_incremental domains output metrics trace
-      trace_out journal =
-    with_obs ?journal ~cmd:"optimize" metrics trace trace_out (fun ppf ->
+  let run obs file bench objective k engine budget no_merge verify dontcares units
+      no_id_cache cache_dir no_incremental domains output =
+    with_obs ~cmd:"optimize" obs (fun ppf ->
         let c = load ~file ~bench in
         let objective =
           match objective with
@@ -275,9 +260,9 @@ let optimize_cmd =
           }
         in
         let stats = Engine.optimize objective options c in
-        Format.fprintf ppf "%a@." Engine.pp_stats stats;
-        print_stats ppf c;
-        save ppf output c)
+        save ppf output c (fun () ->
+            Format.fprintf ppf "%a@." Engine.pp_stats stats;
+            print_stats ppf c))
   in
   let objective =
     Arg.(
@@ -357,17 +342,16 @@ let optimize_cmd =
     (Cmd.info "optimize"
        ~doc:"Resynthesise with comparison units (Procedures 2 and 3 of the paper).")
     Term.(
-      const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
-      $ verify $ dontcares $ units $ no_id_cache $ cache_dir $ no_incremental
-      $ domains $ output_arg
-      $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
+      const run $ obs_term ~journal:true $ file_arg $ bench_arg $ objective $ k
+      $ engine $ budget $ no_merge $ verify $ dontcares $ units $ no_id_cache
+      $ cache_dir $ no_incremental $ domains $ output_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 
 let check_cmd =
-  let run file_a file_b budget domains metrics trace trace_out journal =
+  let run obs file_a file_b budget domains =
     let code =
-      with_obs ?journal ~cmd:"check" metrics trace trace_out (fun ppf ->
+      with_obs ~cmd:"check" obs (fun ppf ->
           let a = load ~file:(Some file_a) ~bench:None in
           let b = load ~file:(Some file_b) ~bench:None in
           let result =
@@ -432,41 +416,40 @@ let check_cmd =
           status: 0 equivalent, 1 counterexample (printed as an input \
           assignment), 2 budget exhausted.")
     Term.(
-      const run $ file_a $ file_b $ budget $ domains_arg $ metrics_arg $ trace_arg
-      $ trace_out_arg $ journal_arg)
+      const run $ obs_term ~journal:true $ file_a $ file_b $ budget $ domains_arg)
 
 (* --- rar ------------------------------------------------------------------ *)
 
 let rar_cmd =
-  let run file bench additions trials seed output metrics trace trace_out =
-    with_obs ~cmd:"rar" metrics trace trace_out (fun ppf ->
+  let run obs file bench additions trials seed output =
+    with_obs ~cmd:"rar" obs (fun ppf ->
         let c = load ~file ~bench in
         let options =
           { Rar.default_options with Rar.max_additions = additions; max_trials = trials; seed }
         in
         let stats = Rar.optimize ~options c in
-        Format.fprintf ppf "%a@." Rar.pp_stats stats;
-        print_stats ppf c;
-        save ppf output c)
+        save ppf output c (fun () ->
+            Format.fprintf ppf "%a@." Rar.pp_stats stats;
+            print_stats ppf c))
   in
   let additions = Arg.(value & opt int 40 & info [ "additions" ] ~doc:"Accepted-addition budget.") in
   let trials = Arg.(value & opt int 400 & info [ "trials" ] ~doc:"Proof attempts per round.") in
   Cmd.v
     (Cmd.info "rar" ~doc:"Redundancy-addition-and-removal baseline (RAMBO_C stand-in).")
     Term.(
-      const run $ file_arg $ bench_arg $ additions $ trials $ seed_arg $ output_arg
-      $ metrics_arg $ trace_arg $ trace_out_arg)
+      const run $ obs_term ~journal:false $ file_arg $ bench_arg $ additions $ trials
+      $ seed_arg $ output_arg)
 
 (* --- redundancy ------------------------------------------------------------ *)
 
 let redundancy_cmd =
-  let run file bench no_sat seed output metrics trace trace_out =
-    with_obs ~cmd:"redundancy" metrics trace trace_out (fun ppf ->
+  let run obs file bench no_sat seed output =
+    with_obs ~cmd:"redundancy" obs (fun ppf ->
         let c = load ~file ~bench in
         let report = Redundancy.remove ~sat:(not no_sat) ~seed c in
-        Format.fprintf ppf "%a@." Redundancy.pp_report report;
-        print_stats ppf c;
-        save ppf output c)
+        save ppf output c (fun () ->
+            Format.fprintf ppf "%a@." Redundancy.pp_report report;
+            print_stats ppf c))
   in
   let no_sat =
     Arg.(
@@ -477,7 +460,8 @@ let redundancy_cmd =
   Cmd.v
     (Cmd.info "redundancy" ~doc:"Remove stuck-at redundancies (the paper's [15] step).")
     Term.(
-      const run $ file_arg $ bench_arg $ no_sat $ seed_arg $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+      const run $ obs_term ~journal:false $ file_arg $ bench_arg $ no_sat $ seed_arg
+      $ output_arg)
 
 (* --- fsim ------------------------------------------------------------------ *)
 
@@ -505,8 +489,8 @@ let sat_atpg_flag =
            denominator.")
 
 let fsim_cmd =
-  let run file bench patterns domains seed sat_atpg metrics trace trace_out journal =
-    with_obs ?journal ~cmd:"fsim" metrics trace trace_out (fun ppf ->
+  let run obs file bench patterns domains seed sat_atpg =
+    with_obs ~cmd:"fsim" obs (fun ppf ->
         let c = load ~file ~bench in
         let cfg = { Campaign.default with max_patterns = patterns; domains; seed } in
         if not sat_atpg then
@@ -543,14 +527,14 @@ let fsim_cmd =
   Cmd.v
     (Cmd.info "fsim" ~doc:"Random-pattern stuck-at fault simulation campaign (Table 6).")
     Term.(
-      const run $ file_arg $ bench_arg $ patterns $ domains_arg $ seed_arg
-      $ sat_atpg_flag $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
+      const run $ obs_term ~journal:true $ file_arg $ bench_arg $ patterns
+      $ domains_arg $ seed_arg $ sat_atpg_flag)
 
 (* --- atpg ------------------------------------------------------------------ *)
 
 let atpg_cmd =
-  let run file bench limit sat_atpg metrics trace trace_out journal =
-    with_obs ?journal ~cmd:"atpg" metrics trace trace_out (fun ppf ->
+  let run obs file bench limit sat_atpg =
+    with_obs ~cmd:"atpg" obs (fun ppf ->
         let c = load ~file ~bench in
         let faults = Fault.collapsed c in
         let stats = Podem.generate_all ~backtrack_limit:limit c faults in
@@ -568,14 +552,14 @@ let atpg_cmd =
   in
   Cmd.v (Cmd.info "atpg" ~doc:"Run PODEM on every collapsed stuck-at fault.")
     Term.(
-      const run $ file_arg $ bench_arg $ limit $ sat_atpg_flag $ metrics_arg
-      $ trace_arg $ trace_out_arg $ journal_arg)
+      const run $ obs_term ~journal:true $ file_arg $ bench_arg $ limit
+      $ sat_atpg_flag)
 
 (* --- pdf ------------------------------------------------------------------ *)
 
 let pdf_cmd =
-  let run file bench pairs window domains seed metrics trace trace_out =
-    with_obs ~cmd:"pdf" metrics trace trace_out (fun ppf ->
+  let run obs file bench pairs window domains seed =
+    with_obs ~cmd:"pdf" obs (fun ppf ->
         let c = load ~file ~bench in
         let r =
           Pdf_campaign.exec
@@ -598,33 +582,35 @@ let pdf_cmd =
     (Cmd.info "pdf"
        ~doc:"Random-pattern robust path-delay-fault campaign (Table 7).")
     Term.(
-      const run $ file_arg $ bench_arg $ pairs $ window $ domains_arg $ seed_arg
-      $ metrics_arg $ trace_arg $ trace_out_arg)
+      const run $ obs_term ~journal:false $ file_arg $ bench_arg $ pairs $ window
+      $ domains_arg $ seed_arg)
 
 (* --- map ------------------------------------------------------------------ *)
 
 let map_cmd =
-  let run file bench metrics trace trace_out =
-    with_obs ~cmd:"map" metrics trace trace_out (fun ppf ->
+  let run obs file bench =
+    with_obs ~cmd:"map" obs (fun ppf ->
         let c = load ~file ~bench in
         let r = Mapper.map c in
         Format.fprintf ppf "%s: literals %d, longest path %d cells, cells used %d@."
           (Circuit.name c) r.Mapper.literals r.Mapper.longest r.Mapper.cells_used)
   in
   Cmd.v (Cmd.info "map" ~doc:"Technology-map the circuit and report literals/depth (Table 4).")
-    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ obs_term ~journal:false $ file_arg $ bench_arg)
 
 (* --- identify --------------------------------------------------------------- *)
 
+(* The [n]-variable function whose ON-set is the comma-separated
+   [minterms]. *)
+let truthtable_of_minterms n minterms =
+  String.split_on_char ',' minterms
+  |> List.filter (fun s -> String.trim s <> "")
+  |> List.map (fun s -> int_of_string (String.trim s))
+  |> Truthtable.of_minterms n
+
 let identify_cmd =
   let run n minterms =
-    let ms =
-      String.split_on_char ',' minterms
-      |> List.filter (fun s -> String.trim s <> "")
-      |> List.map (fun s -> int_of_string (String.trim s))
-    in
-    let f = Truthtable.of_minterms n ms in
-    match Comparison_fn.identify_exact f with
+    match Comparison_fn.identify_exact (truthtable_of_minterms n minterms) with
     | None -> print_endline "not a comparison function (nor is its complement)"
     | Some spec ->
       Format.printf "comparison function: %a@." Comparison_fn.pp_spec spec;
@@ -646,20 +632,15 @@ let identify_cmd =
 (* --- sop ------------------------------------------------------------------- *)
 
 let sop_cmd =
-  let run n minterms output metrics trace trace_out =
-    with_obs ~cmd:"sop" metrics trace trace_out (fun ppf ->
-        let ms =
-          String.split_on_char ',' minterms
-          |> List.filter (fun s -> String.trim s <> "")
-          |> List.map (fun s -> int_of_string (String.trim s))
-        in
-        let f = Truthtable.of_minterms n ms in
-        let cover = Sop.minimise f in
-        Format.fprintf ppf "%d cubes, %d literals:@." (List.length cover) (Sop.literals cover);
-        List.iter (fun cube -> Format.fprintf ppf "  %a@." (Sop.pp_cube ~n) cube) cover;
+  let run obs n minterms output =
+    with_obs ~cmd:"sop" obs (fun ppf ->
+        let cover = Sop.minimise (truthtable_of_minterms n minterms) in
         let c = Sop.to_circuit n cover in
-        print_stats ppf c;
-        save ppf output c)
+        save ppf output c (fun () ->
+            Format.fprintf ppf "%d cubes, %d literals:@." (List.length cover)
+              (Sop.literals cover);
+            List.iter (fun cube -> Format.fprintf ppf "  %a@." (Sop.pp_cube ~n) cube) cover;
+            print_stats ppf c))
   in
   let n = Arg.(required & opt (some int) None & info [ "n" ] ~doc:"Number of variables.") in
   let minterms =
@@ -670,13 +651,13 @@ let sop_cmd =
   in
   Cmd.v
     (Cmd.info "sop" ~doc:"Minimise to two-level form (Quine-McCluskey) and build the netlist.")
-    Term.(const run $ n $ minterms $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ obs_term ~journal:false $ n $ minterms $ output_arg)
 
 (* --- pdfatpg ----------------------------------------------------------------- *)
 
 let pdfatpg_cmd =
-  let run file bench limit max_paths seed metrics trace trace_out =
-    with_obs ~cmd:"pdfatpg" metrics trace trace_out (fun ppf ->
+  let run obs file bench limit max_paths seed =
+    with_obs ~cmd:"pdfatpg" obs (fun ppf ->
         let c = load ~file ~bench in
         let s = Pdf_atpg.classify_all ~backtrack_limit:limit ~max_paths ~seed c in
         Format.fprintf ppf "%a@." Pdf_atpg.pp_summary s)
@@ -690,7 +671,9 @@ let pdfatpg_cmd =
   Cmd.v
     (Cmd.info "pdfatpg"
        ~doc:"Classify every path delay fault as robustly testable/untestable (exact ATPG).")
-    Term.(const run $ file_arg $ bench_arg $ limit $ max_paths $ seed_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(
+      const run $ obs_term ~journal:false $ file_arg $ bench_arg $ limit $ max_paths
+      $ seed_arg)
 
 (* --- bench-diff -------------------------------------------------------------- *)
 

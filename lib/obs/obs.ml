@@ -866,4 +866,30 @@ module Export = struct
     output_string oc (to_json ());
     output_char oc '\n';
     close_out oc
+
+  type sink = Text | Json | File of string
+
+  let sink_of_string = function "text" -> Text | "json" -> Json | path -> File path
+
+  type request = { metrics : sink option; trace : bool; trace_out : string option }
+
+  let start r =
+    if r.metrics <> None || r.trace then enable ();
+    if r.trace_out <> None then Trace.enable ()
+
+  let finish ~prog r =
+    if r.trace && r.metrics <> Some Text then prerr_string (trace_text ());
+    Option.iter
+      (fun path ->
+        Trace.write_file path;
+        let s = Trace.stats () in
+        if s.Trace.dropped > 0 then
+          Printf.eprintf "%s: trace %s: %d event(s) dropped (buffers full)\n%!" prog
+            path s.Trace.dropped)
+      r.trace_out;
+    match r.metrics with
+    | None -> ()
+    | Some Text -> print_string (to_text ())
+    | Some Json -> print_endline (to_json ())
+    | Some (File path) -> write_file path
 end

@@ -330,4 +330,37 @@ module Export : sig
 
   val write_file : string -> unit
   (** Write [to_json ()] (plus a trailing newline) to a file. *)
+
+  (** Where [--metrics SINK] sends the registry at the end of a run. *)
+  type sink =
+    | Text  (** {!to_text} on stdout *)
+    | Json  (** {!to_json} on stdout *)
+    | File of string  (** {!write_file} to this path *)
+
+  val sink_of_string : string -> sink
+  (** ["text"] and ["json"] name the stdout sinks; any other string is a
+      file path. *)
+
+  (** The observability flags of a front end ([sft] and the bench
+      harness): [--metrics SINK], [--trace] and [--trace-out FILE]. *)
+  type request = {
+    metrics : sink option;
+    trace : bool;  (** print the span tree on stderr *)
+    trace_out : string option;  (** Chrome trace-event file (§11) *)
+  }
+
+  val start : request -> unit
+  (** Switch on what [request] needs: metrics collection ({!Obs.enable})
+      for [metrics] or [trace], event tracing ({!Trace.enable}) for
+      [trace_out]. *)
+
+  val finish : prog:string -> request -> unit
+  (** The end-of-run export, in this order:
+      - with [trace], print the span tree ({!trace_text}) on stderr,
+        unless [metrics] is [Some Text], whose dump already ends with it;
+      - with [trace_out], write the trace file ({!Trace.write_file}) and,
+        when events were dropped, warn on stderr with a [prog:] prefix;
+      - emit [metrics] to its sink.
+
+      @raise Sys_error when the trace or metrics file cannot be written. *)
 end

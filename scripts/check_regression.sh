@@ -56,23 +56,26 @@ echo "check_regression: bench smoke run (--quick --only micro,kernels,incrementa
 dune exec --no-build bench/main.exe -- \
     --quick --only micro,kernels,incremental,idcache,sat_atpg,journal --domains 2 --json "$tmp" > /dev/null
 
+# The gate greps allow any spacing after the colon: the snapshot rows are
+# compact Obs_json objects, the older hand-written layout had a space.
+#
 # Incremental-resynthesis and idcache gates: the dirty-root worklist must
 # reproduce the full re-enumeration oracle bit-for-bit, pop fewer roots and
 # not be slower than it; the persistent identification cache must land identical
 # circuits off/cold/warm, and the warm run must serve every lookup from the
 # store the cold run published (disk hits, zero misses).
-if grep -q '"identical_results": false' "$tmp"; then
+if grep -Eq '"identical_results": *false' "$tmp"; then
     echo "check_regression: a bit-identity section diverged (incremental, idcache or journal)" >&2
     exit 1
 fi
-if grep -q '"gate_ok": false' "$tmp"; then
+if grep -Eq '"gate_ok": *false' "$tmp"; then
     echo "check_regression: a section gate failed (incremental pops/speedup, idcache warm-start/misses/hit-rate, or journal funnel/drops)" >&2
     exit 1
 fi
 
 # SAT ATPG gate: every PODEM-aborted fault must be settled (test found or
 # redundancy proved) by the exact escalation pass.
-if grep -q '"escalation_ok": false' "$tmp"; then
+if grep -Eq '"escalation_ok": *false' "$tmp"; then
     echo "check_regression: sat_atpg escalation left faults undecided" >&2
     exit 1
 fi

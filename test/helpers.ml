@@ -4,6 +4,12 @@ let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 
+(* Whether [affix] occurs in [s]. *)
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
+  n = 0 || at 0
+
 (* The classic ISCAS-85 c17 netlist: 5 inputs, 2 outputs, 6 NAND gates. *)
 let c17_text =
   "# c17\n\

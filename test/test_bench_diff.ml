@@ -4,11 +4,6 @@
 
 open Helpers
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  n = 0 || at 0
-
 (* A minimal but complete bench --json snapshot, parameterised on the
    fields the diff tool compares. *)
 let snap ?(version = 2) ?(name = "micro") ?(gates = 170) ?(paths = 639)

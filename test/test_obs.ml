@@ -300,6 +300,65 @@ let test_trace_overflow_stays_balanced () =
              events)
       | Ok _ -> Alcotest.fail "trace export is not an array")
 
+(* Run [f] with the file descriptor [fd] redirected to a temporary file and
+   return what was written to it. *)
+let capture fd f =
+  let tmp = Filename.temp_file "sft_obs" ".out" in
+  flush_all ();
+  let saved = Unix.dup fd in
+  let out = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 out fd;
+  Unix.close out;
+  Fun.protect
+    ~finally:(fun () ->
+      flush_all ();
+      Unix.dup2 saved fd;
+      Unix.close saved)
+    f;
+  let text = In_channel.with_open_bin tmp In_channel.input_all in
+  Sys.remove tmp;
+  text
+
+let count_lines_with affix text =
+  List.length (List.filter (contains ~affix) (String.split_on_char '\n' text))
+
+let test_export_finish () =
+  let request metrics trace trace_out = { Obs.Export.metrics; trace; trace_out } in
+  (* --trace with --metrics text: the dump ends with the span tree, so the
+     tree appears once across stdout and stderr. *)
+  with_obs (fun () ->
+      Obs.Span.with_ "test.export.span" ignore;
+      let r = request (Some Obs.Export.Text) true None in
+      let err = ref "" in
+      let out = capture Unix.stdout (fun () ->
+          err := capture Unix.stderr (fun () -> Obs.Export.finish ~prog:"test" r))
+      in
+      check int_ "span tree printed once" 1
+        (count_lines_with "test.export.span" (out ^ !err));
+      check int_ "--trace alone prints the tree on stderr" 1
+        (count_lines_with "test.export.span"
+           (capture Unix.stderr (fun () ->
+                Obs.Export.finish ~prog:"test" (request None true None)))));
+  (* --trace-out with an overflowed ring: the file is written, and the
+     drops are reported on stderr under the given program name. *)
+  with_trace (fun () ->
+      Obs.Trace.set_capacity 16;
+      Obs.Trace.reset ();
+      for _ = 1 to 100 do
+        Obs.Trace.instant "test.export.tick"
+      done;
+      let path = Filename.temp_file "sft_obs" ".trace.json" in
+      let err =
+        capture Unix.stderr (fun () ->
+            Obs.Export.finish ~prog:"test" (request None false (Some path)))
+      in
+      let written = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      check bool_ "trace file is a JSON array" true
+        (match Obs_json.parse written with Ok (Obs_json.List _) -> true | _ -> false);
+      check int_ "drop warning printed" 1
+        (count_lines_with (Printf.sprintf "test: trace %s:" path) err))
+
 let test_trace_overflow_balanced_under_pool () =
   (* The documented drop contract from multiple domains: tiny rings, pool
      workers emitting concurrently — drops are counted and the exported
@@ -587,6 +646,7 @@ let suite =
     ("trace: disabled is silent", `Quick, test_trace_disabled_is_silent);
     ("trace: records and exports events", `Quick, test_trace_records_and_exports);
     ("trace: overflow stays balanced", `Quick, test_trace_overflow_stays_balanced);
+    ("export: finish prints once, warns on drops", `Quick, test_export_finish);
     ( "trace: pool overflow balanced per domain",
       `Quick,
       test_trace_overflow_balanced_under_pool );

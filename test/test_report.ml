@@ -33,11 +33,6 @@ let with_journal lines f =
   let path = write_journal lines in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  go 0
-
 let header = {|{"ev":"journal_begin","journal_version":1,"tool":"sft","cmd":"optimize","ts":100.0}|}
 
 let footer ~candidates ~identified =
